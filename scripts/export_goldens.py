@@ -1,4 +1,4 @@
-"""Regenerate the golden JSON files under tests/golden/.
+"""Regenerate the ineqs_* and quiver_* golden JSON files under tests/golden/.
 
 Run after any deliberate change to the serialization format, then review the
 diff before committing.

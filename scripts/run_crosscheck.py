@@ -34,7 +34,6 @@ DEFAULT_GRID = (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--case", action="append", metavar="N,M,BOUND",
                         help="run only these cases (repeatable), e.g. --case 2,3,3")
     args = parser.parse_args()
@@ -47,7 +46,7 @@ def main() -> int:
     bad = 0
     for case in cases:
         start = time.perf_counter()
-        report = cross_check(case.n, case.m, case.bound, threads=args.threads)
+        report = cross_check(case.n, case.m, case.bound)
         took = time.perf_counter() - start
         status = "ok" if report.clean else f"{len(report.disagreements)} DISAGREEMENTS"
         print(

@@ -10,26 +10,17 @@ JSON output is byte-stable: fixed key order, no timestamps.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from fractions import Fraction
 
-from .cone import (
-    UnsupportedLengthError,
-    horn_index_set,
-    inequality_system,
-    member_cone,
-    member_single_row,
-)
-from .oracle import chain_is_valid, cross_check, witness_search
+from .cone import UnsupportedLengthError, horn_index_set, inequality_system, routes
+from .oracle import clear_denominators, cross_check, witness_search
 from .partitions import (
     format_partition,
     format_subset,
-    is_weakly_decreasing,
-    normalize,
     parse_partition,
     parse_rational_parts,
+    to_json,
 )
 from .tableaux import gen_lr, kostka_number, lr_coefficient
 
@@ -40,34 +31,20 @@ UNSUPPORTED = 3
 INTERNAL = 4
 
 
-def _dump(d: dict) -> str:
-    return json.dumps(d, separators=(",", ":"))
-
-
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
 
 
-def _parse_rows(text: str, n: int):
-    """Semicolon-separated rational rows; validates shape against n."""
-    rows = []
-    for k, chunk in enumerate(text.split(";"), 1):
-        row = parse_rational_parts(chunk)
-        if not is_weakly_decreasing(row) or (row and row[-1] < 0):
-            raise ValueError(f"row {k} ({chunk!r}) is not weakly decreasing and nonnegative")
-        if len(row) > n:
-            raise ValueError(f"row {k} ({chunk!r}) has more than n = {n} parts")
-        rows.append(row)
-    return tuple(rows)
+def _parse_rows(text: str, n: int, m: int):
+    """Semicolon-separated rational rows: (rows, integer rows, scale).
 
-
-def _row_json(row) -> list:
-    out = []
-    for x in row:
-        f = Fraction(x)
-        out.append(int(f) if f.denominator == 1 else str(f))
-    return out
+    Checks the row count against m and each row's shape against n.
+    """
+    rows = tuple(parse_rational_parts(chunk) for chunk in text.split(";"))
+    if len(rows) != m:
+        raise ValueError(f"expected m = {m} rows, got {len(rows)}")
+    return (rows, *clear_denominators(rows, n))
 
 
 def _chain_text(mus) -> str:
@@ -100,7 +77,7 @@ def _cmd_genlr(args) -> int:
 
 
 def _cmd_snm(args) -> int:
-    indices = horn_index_set(args.n, args.m, threads=args.threads)
+    indices = horn_index_set(args.n, args.m)
     if args.json:
         payload = {
             "n": args.n,
@@ -108,7 +85,7 @@ def _cmd_snm(args) -> int:
             "count": len(indices),
             "tuples": [[list(s) for s in hi.subsets.sets] for hi in indices],
         }
-        print(_dump(payload))
+        print(to_json(payload))
     else:
         for hi in indices:
             print("(" + ",".join(format_subset(s) for s in hi.subsets.sets) + ")")
@@ -126,41 +103,26 @@ def _cmd_ineqs(args) -> int:
     return OK
 
 
-def _ineq_route(rows, n: int, m: int):
-    """The applicable inequality-style verdict, or None if there is none."""
-    if m % 2 == 1:
-        return member_cone(rows, n, m), "inequality-system"
-    if n == 1:
-        return member_single_row(rows, m), "single-row"
-    return None, None
-
-
-def _oracle_route(rows, n: int):
-    """Scale to integers, search; returns (member, outcome, scale)."""
-    denom = math.lcm(*(Fraction(x).denominator for row in rows for x in row), 1)
-    scaled = [normalize(tuple(int(Fraction(x) * denom) for x in row)) for row in rows]
-    outcome = witness_search(scaled, n)
-    return outcome.chain is not None, outcome, denom
-
-
 def _cmd_decide(args) -> int:
-    rows = _parse_rows(args.types, args.n)
-    if len(rows) != args.m:
-        return _fail(f"expected m = {args.m} rows, got {len(rows)}", USAGE)
+    rows, scaled, scale = _parse_rows(args.types, args.n, args.m)
     if args.m < 3:
         return _fail("need m >= 3", USAGE)
 
     ineq_verdict = route = None
-    oracle_member = outcome = scale = None
+    oracle_member = outcome = None
     if args.method in ("ineq", "both"):
-        ineq_verdict, route = _ineq_route(rows, args.n, args.m)
-        if ineq_verdict is None and args.method == "ineq":
+        available = routes(args.n, args.m)
+        if available:
+            route, decide = available[0]
+            ineq_verdict = decide(rows)
+        elif args.method == "ineq":
             return _fail(
                 f"no inequality route for n = {args.n}, m = {args.m}; use --method oracle",
                 UNSUPPORTED,
             )
     if args.method in ("oracle", "both"):
-        oracle_member, outcome, scale = _oracle_route(rows, args.n)
+        outcome = witness_search(scaled, args.n)
+        oracle_member = outcome.chain is not None
 
     if ineq_verdict is not None and oracle_member is not None:
         if ineq_verdict.member != oracle_member:
@@ -178,14 +140,14 @@ def _cmd_decide(args) -> int:
     if args.json:
         payload: dict = {"n": args.n, "m": args.m, "member": member, "method": args.method}
         if ineq_verdict is not None:
-            payload["route"] = route
+            payload["route"] = "inequality-system" if route == "inequality" else route
             cert = ineq_verdict.certificate
             payload["certificate"] = cert.to_json_dict() if cert else None
         if oracle_member is not None:
             payload["scale"] = scale
             payload["witness"] = [list(mu) for mu in outcome.chain.mus] if outcome.chain else None
             payload["explored"] = outcome.explored
-        print(_dump(payload))
+        print(to_json(payload))
     else:
         print("member" if member else "not a member")
         if not member and ineq_verdict is not None and ineq_verdict.certificate is not None:
@@ -201,18 +163,15 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    rows = _parse_rows(args.types, args.n)
-    if len(rows) != args.m:
-        return _fail(f"expected m = {args.m} rows, got {len(rows)}", USAGE)
-    if any(Fraction(x).denominator != 1 for row in rows for x in row):
+    _, lams, scale = _parse_rows(args.types, args.n, args.m)
+    if scale != 1:
         return _fail("witness search needs integer partitions; use decide for rational input", USAGE)
-    lams = [normalize(tuple(int(x) for x in row)) for row in rows]
     outcome = witness_search(lams, args.n)
     if args.json:
         if outcome.chain is not None:
-            print(_dump({"exists": True, "chain": [list(mu) for mu in outcome.chain.mus]}))
+            print(to_json({"exists": True, "chain": [list(mu) for mu in outcome.chain.mus]}))
         else:
-            print(_dump({"exists": False, "search_space": outcome.explored}))
+            print(to_json({"exists": False, "search_space": outcome.explored}))
     else:
         if outcome.chain is not None:
             print(_chain_text(outcome.chain.mus))
@@ -222,7 +181,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    report = cross_check(args.n, args.m, args.bound, threads=args.threads)
+    report = cross_check(args.n, args.m, args.bound)
     if args.json:
         payload = {
             "n": report.n,
@@ -240,12 +199,12 @@ def _cmd_crosscheck(args) -> int:
                 for d in report.disagreements
             ],
         }
-        print(_dump(payload))
+        print(to_json(payload))
     else:
-        routes = ",".join(report.routes) if report.routes else "none"
+        names = ",".join(report.routes) if report.routes else "none"
         print(
             f"crosscheck n={report.n} m={report.m} bound={report.bound}: "
-            f"{report.total} tuples, routes=[{routes}], "
+            f"{report.total} tuples, routes=[{names}], "
             f"disagreements={len(report.disagreements)}"
         )
         for d in report.disagreements:
@@ -276,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("snm", help="qualifying subset tuples (odd m)")
     q.add_argument("-n", type=int, required=True)
     q.add_argument("-m", type=int, required=True)
-    q.add_argument("--threads", type=int, default=1)
     q.add_argument("--json", action="store_true")
 
     q = sub.add_parser("ineqs", help="full inequality system (odd m)")
@@ -301,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-n", type=int, required=True)
     q.add_argument("-m", type=int, required=True)
     q.add_argument("--bound", type=int, required=True)
-    q.add_argument("--threads", type=int, default=1)
     q.add_argument("--json", action="store_true")
     return p
 

@@ -9,8 +9,6 @@ Even m has no such description here; callers are directed to the oracle.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
@@ -21,6 +19,7 @@ from .partitions import (
     normalize,
     pad_to,
     subsets_of_range,
+    to_json,
 )
 from .quiver import SubsetTuple
 from .tableaux import gen_lr
@@ -62,9 +61,6 @@ class Inequality:
                 if c and j < len(lam):
                     total += c * lam[j]
         return total
-
-    def holds(self, rows) -> bool:
-        return self.value(rows) <= 0
 
     def is_trivial(self) -> bool:
         return all(c == 0 for crow in self.coeffs for c in crow)
@@ -114,7 +110,7 @@ class InequalitySystem:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        return to_json(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def _qualifies(sets: tuple[tuple[int, ...], ...], n: int) -> bool:
 _horn_cache: dict[tuple[int, int], tuple[HornIndex, ...]] = {}
 
 
-def horn_index_set(n: int, m: int, threads: int = 1) -> tuple[HornIndex, ...]:
+def horn_index_set(n: int, m: int) -> tuple[HornIndex, ...]:
     """All qualifying subset tuples for odd m >= 3, in lexicographic order.
 
     A tuple qualifies when not every subset is full, the first two and last
@@ -153,23 +149,13 @@ def horn_index_set(n: int, m: int, threads: int = 1) -> tuple[HornIndex, ...]:
     key = (n, m)
     if key in _horn_cache:
         return _horn_cache[key]
-    base = subsets_of_range(n)
-    candidates = [
-        combo
-        for combo in product(base, repeat=m)
+    result = tuple(
+        HornIndex(SubsetTuple(combo, n), 0)
+        for combo in product(subsets_of_range(n), repeat=m)
         if any(len(s) < n for s in combo)
         and len(combo[0]) == len(combo[1])
         and len(combo[m - 2]) == len(combo[m - 1])
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(lambda c: _qualifies(c, n), candidates))
-    else:
-        flags = [_qualifies(c, n) for c in candidates]
-    result = tuple(
-        HornIndex(SubsetTuple(combo, n), 0)
-        for combo, ok in zip(candidates, flags)
-        if ok
+        and _qualifies(combo, n)
     )
     _horn_cache[key] = result
     return result
@@ -288,6 +274,20 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
             note = f"level {iq.level} (window length {m - 2 * iq.level})"
             return MembershipVerdict(False, iq, note=note)
     return MembershipVerdict(True, None, note="all levels hold")
+
+
+def routes(n: int, m: int):
+    """The closed decision routes for (n, m) as (name, decide) pairs, in order.
+
+    "inequality" (member_cone) applies for odd m, "single-row"
+    (member_single_row) for n = 1; decide maps m rows to a MembershipVerdict.
+    """
+    found = []
+    if m % 2 == 1:
+        found.append(("inequality", lambda lams: member_cone(lams, n, m)))
+    if n == 1:
+        found.append(("single-row", lambda lams: member_single_row(lams, m)))
+    return tuple(found)
 
 
 def member_single_row(values, m: int | None = None) -> MembershipVerdict:

@@ -10,14 +10,14 @@ machinery, which is what makes cross-checking meaningful.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .partitions import (
     Partition,
-    is_weakly_decreasing,
+    format_partition,
+    is_partition,
     normalize,
     partitions_in_box,
     subpartitions,
@@ -98,23 +98,32 @@ def witness_chain(lams, n: int) -> WitnessChain | None:
     return witness_search(lams, n).chain
 
 
+def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
+    """Validate rational rows and scale them to integers: (partitions, scale).
+
+    Every row must be weakly decreasing and nonnegative with at most n parts;
+    scale is the least common multiple of all denominators (1 for integer rows).
+    """
+    rows = []
+    for k, lam in enumerate(lams, 1):
+        row = tuple(Fraction(x) for x in lam)
+        if not is_partition(row):
+            raise ValueError(f"row {k} ({format_partition(row)!r}) is not weakly decreasing and nonnegative")
+        if len(row) > n:
+            raise ValueError(f"row {k} ({format_partition(row)!r}) has more than n = {n} parts")
+        rows.append(row)
+    scale = math.lcm(*(x.denominator for row in rows for x in row), 1)
+    return [normalize(tuple(int(x * scale) for x in row)) for row in rows], scale
+
+
 def rational_member(lams, n: int) -> bool:
     """Membership for weakly decreasing nonnegative rational rows.
 
     Clears denominators by their least common multiple and decides the
     scaled integer tuple; saturation makes the answer scale-invariant.
     """
-    rows = []
-    for lam in lams:
-        row = tuple(Fraction(x) for x in lam)
-        if not is_weakly_decreasing(row) or (row and row[-1] < 0):
-            raise ValueError(f"row {tuple(lam)!r} not a weakly decreasing nonnegative sequence")
-        if len(row) > n:
-            raise ValueError(f"row {tuple(lam)!r} has more than n = {n} parts")
-        rows.append(row)
-    denom = math.lcm(*(x.denominator for row in rows for x in row), 1)
-    scaled = [normalize(tuple(int(x * denom) for x in row)) for row in rows]
-    return witness_chain(scaled, n) is not None
+    rows, _ = clear_denominators(lams, n)
+    return witness_chain(rows, n) is not None
 
 
 @dataclass
@@ -139,53 +148,30 @@ class CrossCheckReport:
         return not self.disagreements
 
 
-def _check_tuples(tuples, n: int, m: int, routes) -> list[Disagreement]:
-    # imported here: the comparison harness may use the inequality modules,
-    # the decision procedure above must not
-    from .cone import member_cone, member_single_row
-
-    found: list[Disagreement] = []
-    for lams in tuples:
-        truth = witness_chain(lams, n) is not None
-        if "inequality" in routes:
-            got = member_cone(lams, n, m).member
-            if got != truth:
-                found.append(Disagreement(lams, truth, got, "inequality"))
-        if "single-row" in routes:
-            got = member_single_row(lams, m).member
-            if got != truth:
-                found.append(Disagreement(lams, truth, got, "single-row"))
-    return found
-
-
-def cross_check(n: int, m: int, bound: int, threads: int = 1) -> CrossCheckReport:
+def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
     """Compare the oracle against every available route on a full grid.
 
     The grid is all m-tuples of partitions with at most n parts, each at most
-    bound.  The inequality system route applies for odd m, the closed-form
-    window route for n = 1; disagreements are collected in grid order.
+    bound; the routes are those cone.routes lists for (n, m).  Disagreements
+    are collected in grid order.
     """
-    routes = []
-    if m % 2 == 1:
-        routes.append("inequality")
-    if n == 1:
-        routes.append("single-row")
-    if not routes:
-        from .cone import UnsupportedLengthError
+    # imported here: the comparison harness may use the inequality modules,
+    # the decision procedure above must not
+    from .cone import UnsupportedLengthError, routes
 
+    checks = routes(n, m)
+    if not checks:
         raise UnsupportedLengthError(
             f"no finite description to compare against for n={n}, m={m}; "
             "only the witness search covers this case"
         )
-    routes = tuple(routes)
     grid = tuple(partitions_in_box(n, bound))
-    tuples = list(product(grid, repeat=m))
-    if threads > 1 and tuples:
-        chunk = (len(tuples) + threads - 1) // threads
-        slices = [tuples[i : i + chunk] for i in range(0, len(tuples), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: _check_tuples(s, n, m, routes), slices))
-        found = [d for part in parts for d in part]
-    else:
-        found = _check_tuples(tuples, n, m, routes)
-    return CrossCheckReport(n, m, bound, len(tuples), routes, found)
+    found: list[Disagreement] = []
+    for lams in product(grid, repeat=m):
+        truth = witness_chain(lams, n) is not None
+        for route, decide in checks:
+            got = decide(lams).member
+            if got != truth:
+                found.append(Disagreement(lams, truth, got, route))
+    names = tuple(route for route, _ in checks)
+    return CrossCheckReport(n, m, bound, len(grid) ** m, names, found)

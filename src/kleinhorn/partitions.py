@@ -9,6 +9,7 @@ caller where it matters; storage never pads.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -82,18 +83,26 @@ def scale(seq, r) -> tuple:
     return out
 
 
+def check_subset(zs: tuple, n: int) -> None:
+    """Raise ValueError unless zs is a strictly increasing tuple of integers in 1..n."""
+    prev = 0
+    for z in zs:
+        if not isinstance(z, int):
+            raise ValueError(f"subset must contain integers: {zs!r}")
+        if z <= 0 or z > n:
+            raise ValueError(f"subset {zs!r} not inside 1..{n}")
+        if z <= prev:
+            raise ValueError(f"subset {zs!r} not strictly increasing")
+        prev = z
+
+
 def partition_of_subset(subset, n: int) -> Partition:
     """Partition (z_r - r, ..., z_1 - 1) attached to a subset {z_1 < ... < z_r} of {1..n}.
 
     Has at most |subset| nonzero parts, each at most n - |subset|.
     """
     zs = tuple(subset)
-    if any(not isinstance(z, int) for z in zs):
-        raise ValueError(f"subset must contain integers: {zs!r}")
-    if any(z <= 0 or z > n for z in zs):
-        raise ValueError(f"subset {zs!r} not inside 1..{n}")
-    if any(x >= y for x, y in zip(zs, zs[1:])):
-        raise ValueError(f"subset {zs!r} not strictly increasing")
+    check_subset(zs, n)
     r = len(zs)
     return normalize(tuple(zs[r - 1 - k] - (r - k) for k in range(r)))
 
@@ -126,16 +135,7 @@ def subsets_of_range(n: int) -> tuple[tuple[int, ...], ...]:
 
 def partitions_in_box(max_len: int, max_part: int):
     """All partitions with at most max_len parts, each at most max_part, lex ascending."""
-
-    def grow(prefix: Partition):
-        yield prefix
-        if len(prefix) == max_len:
-            return
-        top = prefix[-1] if prefix else max_part
-        for v in range(1, top + 1):
-            yield from grow(prefix + (v,))
-
-    yield from grow(())
+    return subpartitions((max_part,) * max_len)
 
 
 def subpartitions(p: Partition):
@@ -223,10 +223,7 @@ def parse_subset(text: str, n: int) -> tuple[int, ...]:
             raise ValueError(f"bad subset element {tok!r} in {text!r}")
         elems.append(int(tok))
     zs = tuple(elems)
-    if any(z <= 0 or z > n for z in zs):
-        raise ValueError(f"subset {text!r} not inside 1..{n}")
-    if any(x >= y for x, y in zip(zs, zs[1:])):
-        raise ValueError(f"subset {text!r} not strictly increasing")
+    check_subset(zs, n)
     return zs
 
 
@@ -240,3 +237,8 @@ def format_partition(p, length: int | None = None) -> str:
 
 def format_subset(s) -> str:
     return "{" + ",".join(str(z) for z in s) + "}"
+
+
+def to_json(d: dict) -> str:
+    """Stable byte-for-byte serialization: fixed key order, no whitespace."""
+    return json.dumps(d, separators=(",", ":"))

@@ -8,12 +8,12 @@ exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import is_weakly_decreasing, pad_to
+from .partitions import check_subset, is_weakly_decreasing, pad_to
+from .partitions import to_json  # noqa: F401  (kept importable as quiver.to_json)
 
 Vertex = tuple[int, int]
 APEX: Vertex = (0, 0)
@@ -28,10 +28,7 @@ class SubsetTuple:
 
     def __post_init__(self):
         for s in self.sets:
-            if any(z <= 0 or z > self.n for z in s):
-                raise ValueError(f"subset {s!r} not inside 1..{self.n}")
-            if any(x >= y for x, y in zip(s, s[1:])):
-                raise ValueError(f"subset {s!r} not strictly increasing")
+            check_subset(s, self.n)
 
     @property
     def m(self) -> int:
@@ -251,8 +248,3 @@ def vector_to_json_dict(q: Quiver, v: dict) -> dict:
         "vertices": [list(x) for x in q.vertices],
         "values": [_json_value(v[x]) for x in q.vertices],
     }
-
-
-def to_json(d: dict) -> str:
-    """Stable byte-for-byte serialization: fixed key order, no whitespace."""
-    return json.dumps(d, separators=(",", ":"))

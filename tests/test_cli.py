@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from kleinhorn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -205,9 +207,7 @@ def test_crosscheck_text(capsys):
 
 
 def test_crosscheck_json_and_threads(capsys):
-    code, out, _ = run(
-        capsys, "crosscheck", "-n", "2", "-m", "3", "--bound", "1", "--threads", "2", "--json"
-    )
+    code, out, _ = run(capsys, "crosscheck", "-n", "2", "-m", "3", "--bound", "1", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload == {
@@ -238,3 +238,26 @@ def test_help_and_usage_exit_codes(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "decide", "-n", "1")[0] == 2
+
+
+# Each golden under tests/golden/cli_<name>.json is the exact stdout of the
+# listed command.  A deliberate format change re-records it by running the
+# command and writing its stdout to the file; review the diff before committing.
+CLI_GOLDEN_CASES = [
+    ("snm_n2_m3", ["snm", "-n", "2", "-m", "3", "--json"], 0),
+    ("decide_member", ["decide", "-n", "2", "-m", "3", "--json", "2,1;1;2,1"], 0),
+    ("decide_horn_certificate", ["decide", "-n", "2", "-m", "3", "--json", ";1,1;2"], 1),
+    ("decide_rational_scale6", ["decide", "-n", "2", "-m", "3", "--json", "1/2,1/3;1/2,1/3;1/3"], 0),
+    ("decide_single_row", ["decide", "-n", "1", "-m", "4", "--json", "3;3;1;2"], 0),
+    ("decide_single_row_certificate", ["decide", "-n", "1", "-m", "4", "--json", "1;3;1;1"], 1),
+    ("decide_oracle_only", ["decide", "-n", "2", "-m", "4", "--method", "oracle", "--json", "1/2,1/3;1/2;1/3;1/2,1/3"], 0),
+    ("decide_ineq_only", ["decide", "-n", "2", "-m", "5", "--method", "ineq", "--json", "2,1;2,1;;;"], 0),
+    ("witness_chain", ["witness", "-n", "2", "-m", "3", "--json", "2,1;1;2,1"], 0),
+    ("witness_none", ["witness", "-n", "1", "-m", "3", "--json", "1;3;1"], 1),
+    ("crosscheck_n1_m3", ["crosscheck", "-n", "1", "-m", "3", "--bound", "2", "--json"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CLI_GOLDEN_CASES, ids=[c[0] for c in CLI_GOLDEN_CASES])
+def test_cli_json_matches_golden(capsys, name, argv, code):
+    assert run(capsys, *argv)[:2] == (code, (GOLDEN / f"cli_{name}.json").read_text())

@@ -74,15 +74,6 @@ def test_horn_index_set_equal_edge_cardinalities():
         assert any(len(s) < 2 for s in sets)
 
 
-def test_horn_index_set_threads_match():
-    serial = [hi.subsets.sets for hi in horn_index_set(2, 5)]
-    import kleinhorn.cone as cone
-
-    cone._horn_cache.pop((2, 5), None)
-    threaded = [hi.subsets.sets for hi in horn_index_set(2, 5, threads=4)]
-    assert serial == threaded
-
-
 def test_horn_index_set_rejects_even_or_tiny_m():
     with pytest.raises(UnsupportedLengthError):
         horn_index_set(2, 4)

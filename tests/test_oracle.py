@@ -125,14 +125,6 @@ def test_cross_check_routes_by_case():
     assert cross_check(1, 3, 1).routes == ("inequality", "single-row")
 
 
-def test_cross_check_threads_match():
-    serial = cross_check(2, 3, 2)
-    threaded = cross_check(2, 3, 2, threads=3)
-    assert serial.total == threaded.total
-    assert serial.disagreements == threaded.disagreements
-    assert threaded.clean
-
-
 def test_cross_check_even_m_wide_rows_unroutable():
     from kleinhorn.cone import UnsupportedLengthError
 

@@ -27,6 +27,7 @@ from kleinhorn.partitions import (
     subpartitions,
     subsets_of_range,
 )
+from kleinhorn.quiver import SubsetTuple
 
 partition_st = st.lists(st.integers(1, 9), max_size=8).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -84,6 +85,17 @@ def test_partition_of_subset_rejects_bad_input():
         partition_of_subset((0, 1), 4)
     with pytest.raises(ValueError):
         partition_of_subset((5,), 4)
+
+
+@pytest.mark.parametrize("bad", [(0,), (4,), (2, 2), (3, 1)])
+def test_subset_validators_agree_on_rejection(bad):
+    n = 3
+    with pytest.raises(ValueError):
+        partition_of_subset(bad, n)
+    with pytest.raises(ValueError):
+        parse_subset(format_subset(bad), n)
+    with pytest.raises(ValueError):
+        SubsetTuple((bad,), n)
 
 
 def test_adjusted_conjugate_branches():
