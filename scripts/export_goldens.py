@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 from kleinhorn.cone import inequality_system
-from kleinhorn.quiver import build_star, quiver_to_json_dict, to_json
+from kleinhorn.partitions import to_json
+from kleinhorn.quiver import build_star, quiver_to_json_dict
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 

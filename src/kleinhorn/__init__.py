@@ -45,7 +45,6 @@ from .quiver import (
     weight_pairing,
 )
 from .cone import (
-    HornIndex,
     Inequality,
     InequalitySystem,
     MembershipVerdict,

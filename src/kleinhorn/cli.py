@@ -3,7 +3,8 @@
 Verbs: lr, kostka, genlr, snm, ineqs, decide, witness, crosscheck.
 Exit codes: 0 success / member, 1 well-formed non-member, 2 usage error,
 3 unsupported request (e.g. inequality output for even tuple length),
-4 internal disagreement between decision routes (never expected).
+4 internal error: a disagreement between decision routes or any other
+unexpected exception (never expected).
 JSON output is byte-stable: fixed key order, no timestamps.
 """
 
@@ -13,7 +14,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .cone import UnsupportedLengthError, horn_index_set, inequality_system, routes
+from . import cone
 from .oracle import clear_denominators, cross_check, witness_search
 from .partitions import (
     format_partition,
@@ -77,23 +78,23 @@ def _cmd_genlr(args) -> int:
 
 
 def _cmd_snm(args) -> int:
-    indices = horn_index_set(args.n, args.m)
+    indices = cone.horn_index_set(args.n, args.m)
     if args.json:
         payload = {
             "n": args.n,
             "m": args.m,
             "count": len(indices),
-            "tuples": [[list(s) for s in hi.subsets.sets] for hi in indices],
+            "tuples": [[list(s) for s in sets] for sets in indices],
         }
         print(to_json(payload))
     else:
-        for hi in indices:
-            print("(" + ",".join(format_subset(s) for s in hi.subsets.sets) + ")")
+        for sets in indices:
+            print("(" + ",".join(format_subset(s) for s in sets) + ")")
     return OK
 
 
 def _cmd_ineqs(args) -> int:
-    system = inequality_system(args.n, args.m)
+    system = cone.inequality_system(args.n, args.m)
     if args.json:
         print(system.to_json())
     else:
@@ -111,7 +112,7 @@ def _cmd_decide(args) -> int:
     ineq_verdict = route = None
     oracle_member = outcome = None
     if args.method in ("ineq", "both"):
-        available = routes(args.n, args.m)
+        available = cone.routes(args.n, args.m)
         if available:
             route, decide = available[0]
             ineq_verdict = decide(rows)
@@ -283,10 +284,12 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _HANDLERS[args.cmd](args)
-    except UnsupportedLengthError as e:
+    except cone.UnsupportedLengthError as e:
         return _fail(str(e), UNSUPPORTED)
     except ValueError as e:
         return _fail(str(e), USAGE)
+    except Exception as e:  # a crash must never read as a verdict
+        return _fail(f"internal: {type(e).__name__}: {e}", INTERNAL)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ Even m has no such description here; callers are directed to the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice, product
 
 from .partitions import (
@@ -21,20 +22,11 @@ from .partitions import (
     subsets_of_range,
     to_json,
 )
-from .quiver import SubsetTuple
 from .tableaux import gen_lr
 
 
 class UnsupportedLengthError(ValueError):
     """No inequality description is available for this tuple length."""
-
-
-@dataclass(frozen=True)
-class HornIndex:
-    """A qualifying subset tuple, tagged with the recursion level it applies to."""
-
-    subsets: SubsetTuple
-    level: int = 0
 
 
 @dataclass(frozen=True)
@@ -129,16 +121,14 @@ def _qualifies(sets: tuple[tuple[int, ...], ...], n: int) -> bool:
     return gen_lr([normalize(r) for r in rows]) == 1
 
 
-_horn_cache: dict[tuple[int, int], tuple[HornIndex, ...]] = {}
-
-
-def horn_index_set(n: int, m: int) -> tuple[HornIndex, ...]:
+@cache
+def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All qualifying subset tuples for odd m >= 3, in lexicographic order.
 
-    A tuple qualifies when not every subset is full, the first two and last
-    two subsets have equal cardinalities, every adjusted conjugate is a
-    partition, and their chained coefficient is exactly one.  Results are
-    cached per (n, m).
+    Each is an m-tuple of sorted subsets of {1..n}.  A tuple qualifies when
+    not every subset is full, the first two and last two subsets have equal
+    cardinalities, every adjusted conjugate is a partition, and their chained
+    coefficient is exactly one.  Results are cached per (n, m).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -146,19 +136,14 @@ def horn_index_set(n: int, m: int) -> tuple[HornIndex, ...]:
         raise UnsupportedLengthError(
             f"no inequality description for m = {m}; use the witness-chain oracle"
         )
-    key = (n, m)
-    if key in _horn_cache:
-        return _horn_cache[key]
-    result = tuple(
-        HornIndex(SubsetTuple(combo, n), 0)
+    return tuple(
+        combo
         for combo in product(subsets_of_range(n), repeat=m)
         if any(len(s) < n for s in combo)
         and len(combo[0]) == len(combo[1])
         and len(combo[m - 2]) == len(combo[m - 1])
         and _qualifies(combo, n)
     )
-    _horn_cache[key] = result
-    return result
 
 
 def _zero_matrix(m: int, n: int) -> list[list[int]]:
@@ -204,9 +189,7 @@ def _nonneg_inequality(n: int, m: int, i: int) -> Inequality:
     return Inequality(_freeze(mat), "nonneg", position=(i,))
 
 
-_system_cache: dict[tuple[int, int], InequalitySystem] = {}
-
-
+@cache
 def inequality_system(n: int, m: int) -> InequalitySystem:
     """The full flattened system for odd m: all recursion levels plus domain rows.
 
@@ -218,16 +201,13 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
         raise UnsupportedLengthError(
             f"no inequality description for m = {m}; use the witness-chain oracle"
         )
-    key = (n, m)
-    if key in _system_cache:
-        return _system_cache[key]
     ineqs: list[Inequality] = []
     suppressed = 0
     for level in range((m - 3) // 2 + 1):
         inner_len = m - 2 * level
         ineqs.append(_trace_inequality(n, m, level))
-        for hi in horn_index_set(n, inner_len):
-            iq = _horn_inequality(n, m, level, hi.subsets.sets)
+        for sets in horn_index_set(n, inner_len):
+            iq = _horn_inequality(n, m, level, sets)
             if iq.is_trivial():
                 suppressed += 1
             else:
@@ -237,9 +217,7 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
             ineqs.append(_monotone_inequality(n, m, i, j))
     for i in range(1, m + 1):
         ineqs.append(_nonneg_inequality(n, m, i))
-    system = InequalitySystem(n, m, tuple(ineqs), suppressed)
-    _system_cache[key] = system
-    return system
+    return InequalitySystem(n, m, tuple(ineqs), suppressed)
 
 
 def _pad_rows(lams, n: int, m: int):

@@ -58,7 +58,8 @@ def witness_search(lams, n: int) -> SearchOutcome:
     mu(0) runs over subpartitions of the first type in lexicographic order
     (the empty partition first), and each later mu over the complement
     listing, so the found chain is deterministic.  Dead (position, partition)
-    states are memoized within the search.
+    states are memoized within the search.  The search keeps an explicit
+    stack, so the chain length is not bounded by the recursion limit.
     """
     lams = tuple(normalize(l) for l in lams)
     m = len(lams)
@@ -69,27 +70,25 @@ def witness_search(lams, n: int) -> SearchOutcome:
             raise ValueError(f"partition {lam!r} has more than n = {n} parts")
     dead: set[tuple[int, Partition]] = set()
     explored = 0
-
-    def extend(pos: int, prev: Partition):
-        """Tail mu(pos..m) given mu(pos-1) = prev, or None if impossible."""
-        nonlocal explored
+    chain: list[Partition] = []  # mu(0..k) chosen so far
+    # stack[k] yields the remaining candidates for mu(k), in canonical order
+    stack = [subpartitions(lams[0])]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            if chain:
+                dead.add((len(chain), chain.pop()))
+            continue
+        chain.append(nxt)
+        pos = len(chain)  # the state (pos, nxt) picks mu(pos) from lams[pos - 1]
         if pos == m + 1:
-            return ()
-        key = (pos, prev)
-        if key in dead:
-            return None
+            return SearchOutcome(WitnessChain(tuple(chain)), explored)
+        if (pos, nxt) in dead:
+            chain.pop()
+            continue
         explored += 1
-        for nxt, _ in lr_complements(lams[pos - 1], prev):
-            tail = extend(pos + 1, nxt)
-            if tail is not None:
-                return (nxt,) + tail
-        dead.add(key)
-        return None
-
-    for mu0 in subpartitions(lams[0]):
-        tail = extend(1, mu0)
-        if tail is not None:
-            return SearchOutcome(WitnessChain((mu0,) + tail), explored)
+        stack.append(nu for nu, _ in lr_complements(lams[pos - 1], nxt))
     return SearchOutcome(None, explored)
 
 

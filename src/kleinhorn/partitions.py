@@ -153,29 +153,6 @@ def subpartitions(p: Partition):
     yield from grow(())
 
 
-def partitions_of_size_in(total: int, shape: Partition):
-    """Partitions of the given size contained in shape, lex ascending."""
-    if total < 0:
-        return
-
-    def grow(prefix: Partition, rem: int):
-        if rem == 0:
-            yield prefix
-            return
-        k = len(prefix)
-        if k == len(shape):
-            return
-        top = min(shape[k], prefix[-1] if prefix else rem, rem)
-        rows_after = len(shape) - k - 1
-        for v in range(1, top + 1):
-            # a first part of v caps everything below it at v per row
-            if rem - v > v * rows_after:
-                continue
-            yield from grow(prefix + (v,), rem - v)
-
-    yield from grow((), total)
-
-
 def parse_int_parts(text: str) -> tuple[int, ...]:
     """Comma-separated integers; '' and '0' denote the empty sequence."""
     t = text.strip().replace(" ", "")

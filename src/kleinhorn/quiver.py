@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import check_subset, is_weakly_decreasing, pad_to
-from .partitions import to_json  # noqa: F401  (kept importable as quiver.to_json)
 
 Vertex = tuple[int, int]
 APEX: Vertex = (0, 0)

@@ -1,7 +1,9 @@
 """Littlewood-Richardson and Kostka coefficients by exact tableau counting.
 
 Everything here is integer counting — no symmetric-function algebra, no
-floats.  Results are cached globally; partitions are canonical tuples.
+floats.  One walk lists every lattice filling of a skew shape once, bucketed
+by content; every Littlewood-Richardson coefficient is read from that list,
+which is the only memo.  Partitions are canonical tuples.
 """
 
 from __future__ import annotations
@@ -9,70 +11,19 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cache
 
-from .partitions import (
-    Partition,
-    contains,
-    normalize,
-    partitions_of_size_in,
-)
+from .partitions import Partition, contains, normalize
 
 
-@cache
 def lr_coefficient(outer: Partition, left: Partition, right: Partition) -> int:
     """Multiplicity of outer in the product of left and right.
 
-    Counts fillings of the skew diagram outer/left with content right whose
-    rows weakly increase, columns strictly increase, and whose reverse
+    The number of fillings of the skew diagram outer/left with content right
+    whose rows weakly increase, columns strictly increase, and whose reverse
     reading word (right to left along rows, top row first) is a lattice
-    word.  Zero unless left and right fit inside outer and sizes add up.
+    word, read from the lr_complements listing.  Zero unless left and right
+    fit inside outer and sizes add up.
     """
-    outer = normalize(outer)
-    left = normalize(left)
-    right = normalize(right)
-    if sum(left) + sum(right) != sum(outer):
-        return 0
-    if not contains(outer, left) or not contains(outer, right):
-        return 0
-    if not right:
-        return 1  # sizes force left == outer; the empty filling
-    return _count_fillings(outer, left, right)
-
-
-def _count_fillings(outer: Partition, inner: Partition, content: Partition) -> int:
-    """Backtracking count of lattice skew tableaux; cells in reading-word order."""
-    rows = len(outer)
-    inn = inner + (0,) * (rows - len(inner))
-    cells = [(r, c) for r in range(rows) for c in range(outer[r] - 1, inn[r] - 1, -1)]
-    nletters = len(content)
-    fill = [[0] * width for width in outer]
-    remaining = list(content)
-    placed = [0] * (nletters + 1)
-    total = 0
-
-    def walk(idx: int) -> None:
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        # the cell above is in the shape iff it sits right of the inner row
-        lo = fill[r - 1][c] + 1 if r > 0 and c >= inn[r - 1] else 1
-        hi = fill[r][c + 1] if c + 1 < outer[r] else nletters
-        for v in range(lo, hi + 1):
-            if not remaining[v - 1]:
-                continue
-            if v > 1 and placed[v] >= placed[v - 1]:
-                continue  # lattice prefix would break
-            fill[r][c] = v
-            remaining[v - 1] -= 1
-            placed[v] += 1
-            walk(idx + 1)
-            fill[r][c] = 0
-            remaining[v - 1] += 1
-            placed[v] -= 1
-
-    walk(0)
-    return total
+    return dict(lr_complements(outer, left)).get(normalize(right), 0)
 
 
 @cache
@@ -128,19 +79,47 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
     """Every right factor with nonzero coefficient against outer and left.
 
     Returns (partition, coefficient) pairs in lexicographic partition order;
-    the list is complete: anything absent has coefficient zero.
+    the list is complete: anything absent has coefficient zero.  The cells of
+    outer/left are filled in reading-word order (top row first, right to
+    left), row r (0-based) with letters at most r + 1, keeping columns strict
+    and the word lattice; each complete filling counts once under its content.
     """
     outer = normalize(outer)
     left = normalize(left)
-    total = sum(outer) - sum(left)
-    if total < 0 or not contains(outer, left):
+    if not contains(outer, left):
         return ()
-    out = []
-    for nu in partitions_of_size_in(total, outer):
-        c = lr_coefficient(outer, left, nu)
-        if c:
-            out.append((nu, c))
-    return tuple(out)
+    rows = len(outer)
+    inn = left + (0,) * (rows - len(left))
+    cells = [(r, c) for r in range(rows) for c in range(outer[r] - 1, inn[r] - 1, -1)]
+    fill = [[0] * width for width in outer]
+    placed = [0] * (rows + 1)  # placed[v]: letters v written so far
+    counts: dict[Partition, int] = defaultdict(int)
+    idx = 0
+    while idx >= 0:
+        if idx == len(cells):
+            # a lattice word's content is a partition: zeros only trail
+            counts[tuple(k for k in placed[1:] if k)] += 1
+            idx -= 1
+            continue
+        r, c = cells[idx]
+        v = fill[r][c]
+        if v:
+            placed[v] -= 1  # take back the letter tried last, then try the next one
+        else:
+            # the cell above is in the shape iff it sits right of the inner row
+            v = fill[r - 1][c] if r > 0 and c >= inn[r - 1] else 0
+        hi = fill[r][c + 1] if c + 1 < outer[r] else r + 1
+        v += 1
+        while v <= hi and v > 1 and placed[v] >= placed[v - 1]:
+            v += 1  # the lattice prefix would break
+        if v <= hi:
+            fill[r][c] = v
+            placed[v] += 1
+            idx += 1
+        else:
+            fill[r][c] = 0
+            idx -= 1
+    return tuple(sorted(counts.items()))
 
 
 def gen_lr(lams) -> int:
@@ -165,13 +144,12 @@ def gen_lr(lams) -> int:
     if need != sizes[m - 1]:
         return 0
     state: dict[Partition, int] = {lams[0]: 1}
-    for i in range(1, m - 2):
+    for i in range(1, m - 1):
         nxt: dict[Partition, int] = defaultdict(int)
         for prev, w in state.items():
             for nu, c in lr_complements(lams[i], prev):
                 nxt[nu] += w * c
         if not nxt:
             return 0
-        state = dict(nxt)
-    last = lams[m - 2]
-    return sum(w * lr_coefficient(last, prev, lams[m - 1]) for prev, w in state.items())
+        state = nxt
+    return state.get(lams[-1], 0)

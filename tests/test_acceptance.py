@@ -74,9 +74,9 @@ def test_routes_agree_on_grids():
 @criterion(2, "qualifying index tuples for m=3 match the brute-force unit-coefficient triples")
 def test_index_set_matches_bruteforce_m3():
     for n in (2, 3):
-        got = [hi.subsets.sets for hi in horn_index_set(n, 3)]
+        got = list(horn_index_set(n, 3))
         assert got == unit_coefficient_triples(n)
-    nontrivial = [hi for hi in horn_index_set(2, 3) if any(hi.subsets.sets)]
+    nontrivial = [sets for sets in horn_index_set(2, 3) if any(sets)]
     assert len(nontrivial) == 3
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from kleinhorn import cli
 from kleinhorn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -178,6 +179,27 @@ def test_decide_usage_errors(capsys):
     assert code == 2 and "m >= 3" in err
     code, _, err = run(capsys, "decide", "-n", "1", "-m", "3", "1,1;2;1")
     assert code == 2 and "more than n = 1" in err
+
+
+def test_decide_large_single_part(capsys):
+    # a 1500-cell row once overflowed the recursion limit and exited 1
+    code, out, _ = run(capsys, "decide", "-n", "1", "-m", "3", "1500;1500;0")
+    assert code == 0
+    assert out == "member\nwitness: [];[1500];[];[]\n"
+    code, out, _ = run(capsys, "decide", "-n", "1", "-m", "3", "--json", "1500;1500;0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["member"] is True and payload["witness"] == [[], [1500], [], []]
+
+
+def test_unexpected_exception_is_internal(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "lr", crash)
+    code, out, err = run(capsys, "lr", "1", "1", "2")
+    assert code == 4 and out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
 
 
 def test_witness_text_and_json(capsys):

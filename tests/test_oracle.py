@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -51,6 +52,15 @@ def test_witness_chain_is_canonical_smallest():
     out2 = witness_search([(2,), (2,), (2,), (2,), ()], 1)
     assert out1.chain == out2.chain
     assert chain_is_valid(out1.chain, [(2,), (2,), (2,), (2,), ()])
+
+
+def test_witness_long_single_row_chain():
+    # lam_i = mu_(i-1) + mu_i makes a member; 1200 positions once hit the recursion limit
+    rng = random.Random(1200)
+    mus = [rng.randint(0, 30) for _ in range(1201)]
+    lams = [(mus[i] + mus[i + 1],) for i in range(1200)]
+    chain = witness_chain(lams, 1)
+    assert chain is not None and chain_is_valid(chain, lams)
 
 
 def test_chain_is_valid_rejects_wrong_shapes():

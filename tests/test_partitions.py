@@ -22,7 +22,6 @@ from kleinhorn.partitions import (
     parse_subset,
     partition_of_subset,
     partitions_in_box,
-    partitions_of_size_in,
     scale,
     subpartitions,
     subsets_of_range,
@@ -167,9 +166,6 @@ def test_enumerators_are_lex_sorted_and_complete():
     box = list(partitions_in_box(2, 2))
     assert box == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
     assert list(subpartitions((2, 1))) == [(), (1,), (1, 1), (2,), (2, 1)]
-    assert list(partitions_of_size_in(2, (2, 1))) == [(1, 1), (2,)]
-    assert list(partitions_of_size_in(0, (3,))) == [()]
-    assert list(partitions_of_size_in(5, (2, 1))) == []
 
 
 @given(st.integers(1, 4), st.integers(1, 4))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kleinhorn.partitions import subsets_of_range
+from kleinhorn.partitions import subsets_of_range, to_json
 from kleinhorn.quiver import (
     APEX,
     Quiver,
@@ -19,7 +19,6 @@ from kleinhorn.quiver import (
     quiver_to_json_dict,
     star_dimension,
     subsets_of_dimvector,
-    to_json,
     tuple_of_weight,
     vector_to_json_dict,
     weight_of_tuple,
