@@ -15,7 +15,7 @@ from kleinhorn.quiver import build_star, quiver_to_json_dict
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
-INEQ_CASES = [(1, 3), (2, 3), (2, 5)]
+INEQ_CASES = [(1, 3), (2, 3), (2, 5), (3, 5), (2, 7)]
 QUIVER_CASES = [(1, 3), (2, 3)]
 
 

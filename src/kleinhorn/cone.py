@@ -112,15 +112,6 @@ class MembershipVerdict:
     note: str = ""
 
 
-def _qualifies(sets: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """Conditions on a subset tuple: adjusted conjugates are partitions whose
-    chained coefficient is exactly one (size/cardinality screens are assumed)."""
-    rows = [adjusted_conjugate(sets, i, n) for i in range(1, len(sets) + 1)]
-    if not all(is_partition(r) for r in rows):
-        return False
-    return gen_lr([normalize(r) for r in rows]) == 1
-
-
 @cache
 def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All qualifying subset tuples for odd m >= 3, in lexicographic order.
@@ -129,6 +120,15 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     not every subset is full, the first two and last two subsets have equal
     cardinalities, every adjusted conjugate is a partition, and their chained
     coefficient is exactly one.  Results are cached per (n, m).
+
+    The tuples are built by a depth-first search over positions 1..m with an
+    explicit stack, trying subsets in subsets_of_range order at each position,
+    so they come out in product order.  Row i is fixed once I_(i+1) is chosen;
+    it depends only on I_i and its shift (odd interior rows only), so each
+    (I_i, shift) row is built once per call.  A prefix is dropped as soon as a
+    row is not a partition, |I_1| != |I_2|, or the alternating size that
+    gen_lr forces on the next chain step goes negative; only full tuples that
+    pass every screen reach gen_lr.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -136,14 +136,43 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         raise UnsupportedLengthError(
             f"no inequality description for m = {m}; use the witness-chain oracle"
         )
-    return tuple(
-        combo
-        for combo in product(subsets_of_range(n), repeat=m)
-        if any(len(s) < n for s in combo)
-        and len(combo[0]) == len(combo[1])
-        and len(combo[m - 2]) == len(combo[m - 1])
-        and _qualifies(combo, n)
-    )
+    subsets = subsets_of_range(n)
+    memo: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
+    sets: list[tuple[int, ...]] = [()] * m  # I_1..I_m, valid up to the current depth
+    rows: list[tuple[int, ...]] = [()] * m  # normalized adjusted conjugates, fixed so far
+    need = [0] * m  # need[i]: size gen_lr forces on the chain step after row i
+    found = []
+    stack = [iter(subsets)]  # stack[k] yields the remaining candidates for I_(k+1)
+    while stack:
+        k = len(stack) - 1
+        s = next(stack[-1], None)
+        if s is None:
+            stack.pop()
+            continue
+        sets[k] = s
+        if (k == 1 or k == m - 1) and len(s) != len(sets[k - 1]):
+            continue
+        # fix row k - 1 now that its neighbours are chosen, and row k at a leaf
+        for i in range(max(k - 1, 0), k if k < m - 1 else m):
+            odd_interior = 0 < i < m - 1 and i % 2 == 0
+            shift = len(sets[i]) - len(sets[i + 1]) - len(sets[i - 1]) if odd_interior else 0
+            key = (sets[i], shift)
+            if key not in memo:
+                row = adjusted_conjugate(sets, i + 1, n)
+                memo[key] = normalize(row) if is_partition(row) else None
+            row = memo[key]
+            if row is None:
+                break
+            rows[i] = row
+            need[i] = sum(row) - (need[i - 1] if i else 0)
+            if need[i] < 0:
+                break
+        else:
+            if k < m - 1:
+                stack.append(iter(subsets))
+            elif need[m - 1] == 0 and any(len(t) < n for t in sets) and gen_lr(rows) == 1:
+                found.append(tuple(sets))
+    return tuple(found)
 
 
 def _zero_matrix(m: int, n: int) -> list[list[int]]:

@@ -21,13 +21,22 @@ _INT_TOKEN = re.compile(r"[+-]?\d+")
 
 
 def is_weakly_decreasing(seq) -> bool:
-    return all(a >= b for a, b in zip(seq, seq[1:]))
+    prev = None
+    for x in seq:
+        if prev is not None and prev < x:
+            return False
+        prev = x
+    return True
 
 
 def is_partition(seq) -> bool:
     """True iff seq is weakly decreasing with nonnegative entries."""
-    seq = tuple(seq)
-    return is_weakly_decreasing(seq) and (not seq or seq[-1] >= 0)
+    prev = None
+    for x in seq:
+        if prev is not None and prev < x:
+            return False
+        prev = x
+    return prev is None or prev >= 0
 
 
 def normalize(seq) -> Partition:
@@ -41,12 +50,13 @@ def normalize(seq) -> Partition:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram; column i has height #{j : p_j > i}."""
-    nparts = len(p)
+    """Transpose of the Young diagram; column c has height #{j : p_j > c}."""
     cols: list[int] = []
-    for k in range(nparts, 0, -1):
-        width = p[k - 1] - (p[k] if k < nparts else 0)
-        cols.extend([k] * width)
+    k = len(p)  # height of the current column: rows 1..k reach past it
+    for c in range(p[0] if p else 0):
+        while p[k - 1] <= c:
+            k -= 1
+        cols.append(k)
     return tuple(cols)
 
 
@@ -139,18 +149,25 @@ def partitions_in_box(max_len: int, max_part: int):
 
 
 def subpartitions(p: Partition):
-    """All partitions contained in p, lex ascending (the empty partition first)."""
+    """All partitions contained in p, lex ascending (the empty partition first).
 
-    def grow(prefix: Partition):
-        yield prefix
-        k = len(prefix)
-        if k == len(p):
-            return
-        top = min(p[k], prefix[-1]) if prefix else (p[0] if p else 0)
-        for v in range(1, top + 1):
-            yield from grow(prefix + (v,))
-
-    yield from grow(())
+    A preorder walk that keeps the current partition as a list: append a part
+    of 1 when one fits, otherwise drop the trailing parts already at their
+    bound (p's part and the part above) and raise the last one left.  No
+    recursion, so p may have any number of parts.
+    """
+    cur: list[int] = []
+    yield ()
+    while True:
+        if len(cur) < len(p) and p[len(cur)] >= 1:
+            cur.append(1)
+        else:
+            while cur and cur[-1] >= min(p[len(cur) - 1], cur[-2] if len(cur) > 1 else p[0]):
+                cur.pop()
+            if not cur:
+                return
+            cur[-1] += 1
+        yield tuple(cur)
 
 
 def parse_int_parts(text: str) -> tuple[int, ...]:

@@ -111,7 +111,9 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
         hi = fill[r][c + 1] if c + 1 < outer[r] else r + 1
         v += 1
         while v <= hi and v > 1 and placed[v] >= placed[v - 1]:
-            v += 1  # the lattice prefix would break
+            # the lattice prefix would break; with no letter v - 1 placed yet,
+            # it breaks for every larger letter too
+            v = v + 1 if placed[v - 1] else hi + 1
         if v <= hi:
             fill[r][c] = v
             placed[v] += 1

@@ -3,14 +3,17 @@
 These deliberately take different routes from the production code: tableaux
 are enumerated cell by cell in forward reading order with a final lattice
 check, Kostka numbers come from direct semistandard fillings rather than
-strip peeling, and chained coefficients from explicit nested sums.
+strip peeling, and chained coefficients from explicit nested sums.  The Horn index set is
+the plain filter over every subset tuple, with every row rebuilt per tuple.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 
-from kleinhorn.tableaux import lr_coefficient
+from kleinhorn.partitions import adjusted_conjugate, is_partition, normalize, subsets_of_range
+from kleinhorn.tableaux import gen_lr, lr_coefficient
 
 
 def ssyt_count(shape, content) -> int:
@@ -181,3 +184,22 @@ def unit_coefficient_triples(n: int):
             if lr_coefficient(b, a, c) == 1:
                 out.append((i1, i2, i3))
     return sorted(out)
+
+
+def horn_index_set_by_filter(n: int, m: int):
+    """Qualifying subset tuples by filtering all 2^(n*m) tuples in product order.
+
+    Every tuple is screened on its own: not every subset full, equal first and
+    last cardinality pairs, every adjusted conjugate a partition, and a unit
+    chained coefficient.  Exponential in n*m; small shapes only.
+    """
+    out = []
+    for sets in product(subsets_of_range(n), repeat=m):
+        if all(len(s) == n for s in sets):
+            continue
+        if len(sets[0]) != len(sets[1]) or len(sets[m - 2]) != len(sets[m - 1]):
+            continue
+        rows = [adjusted_conjugate(sets, i, n) for i in range(1, m + 1)]
+        if all(is_partition(r) for r in rows) and gen_lr([normalize(r) for r in rows]) == 1:
+            out.append(sets)
+    return tuple(out)

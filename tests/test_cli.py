@@ -7,6 +7,7 @@ import pytest
 
 from kleinhorn import cli
 from kleinhorn.cli import main
+from kleinhorn.oracle import WitnessChain, chain_is_valid
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -77,6 +78,14 @@ def test_snm_json(capsys):
     }
 
 
+@pytest.mark.parametrize("n,m,count", [(4, 5, 1614), (2, 9, 1134), (3, 7, 3067), (2, 11, 7121)])
+def test_snm_json_counts_larger_shapes(capsys, n, m, count):
+    code, out, _ = run(capsys, "snm", "-n", str(n), "-m", str(m), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == count == len(payload["tuples"])
+
+
 def test_snm_even_m_unsupported(capsys):
     code, _, err = run(capsys, "snm", "-n", "2", "-m", "4")
     assert code == 3 and "error:" in err
@@ -91,7 +100,7 @@ def test_ineqs_text(capsys):
 
 
 def test_ineqs_json_matches_golden(capsys):
-    for n, m in [(1, 3), (2, 3), (2, 5)]:
+    for n, m in [(1, 3), (2, 3), (2, 5), (3, 5), (2, 7)]:
         code, out, _ = run(capsys, "ineqs", "-n", str(n), "-m", str(m), "--json")
         assert code == 0
         assert out.strip() == (GOLDEN / f"ineqs_n{n}_m{m}.json").read_text().strip()
@@ -212,6 +221,17 @@ def test_witness_text_and_json(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["exists"] is False and payload["search_space"] >= 1
+
+
+def test_witness_many_parts(capsys):
+    # mu_0 = 1^1200 once overflowed the recursion limit and exited 4
+    lams = [(1,) * 1200, (), ()]
+    types = ";".join(",".join(map(str, lam)) for lam in lams)
+    code, out, _ = run(capsys, "witness", "-n", "1200", "-m", "3", "--json", types)
+    assert code == 0
+    chain = [tuple(mu) for mu in json.loads(out)["chain"]]
+    assert chain[0] == (1,) * 1200
+    assert chain_is_valid(WitnessChain(tuple(chain)), lams)
 
 
 def test_witness_rejects_rationals(capsys):

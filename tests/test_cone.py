@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import horn_index_set_by_filter
 from kleinhorn.cone import (
     UnsupportedLengthError,
     horn_index_set,
@@ -71,6 +72,14 @@ def test_horn_index_set_equal_edge_cardinalities():
         assert len(sets[0]) == len(sets[1])
         assert len(sets[3]) == len(sets[4])
         assert any(len(s) < 2 for s in sets)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(1, 3), (1, 5), (1, 7), (1, 9), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3)]
+)
+def test_horn_index_set_matches_bruteforce_filter(n, m):
+    # same tuples in the same order as the filter over every subset tuple
+    assert horn_index_set(n, m) == horn_index_set_by_filter(n, m)
 
 
 def test_horn_index_set_rejects_even_or_tiny_m():
@@ -221,7 +230,7 @@ def test_interior_points_are_strict():
 
 
 def test_ineqs_json_golden():
-    for n, m in [(1, 3), (2, 3), (2, 5)]:
+    for n, m in [(1, 3), (2, 3), (2, 5), (3, 5), (2, 7)]:
         got = inequality_system(n, m).to_json()
         expect = (GOLDEN / f"ineqs_n{n}_m{m}.json").read_text().strip()
         assert got == expect
