@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
+from math import lcm
+from operator import mul
 
 from .partitions import (
     adjusted_conjugate,
@@ -261,24 +263,43 @@ def _pad_rows(lams, n: int, m: int):
     return tuple(rows)
 
 
+_DOMAIN = ("monotone", "nonneg")
+
+
+@cache
+def _compiled(n: int, m: int) -> tuple[tuple[tuple[int, ...], Inequality], ...]:
+    """The (n, m) system as (flat coefficients, inequality) pairs, domain rows first.
+
+    The flat coefficients are the inequality's matrix read row by row.  The
+    monotone and nonneg rows come first, then the trace and horn rows, each
+    group in system order.
+    """
+    ineqs = inequality_system(n, m).inequalities
+    domain = [iq for iq in ineqs if iq.origin in _DOMAIN]
+    cone = [iq for iq in ineqs if iq.origin not in _DOMAIN]
+    return tuple((tuple(chain.from_iterable(iq.coeffs)), iq) for iq in domain + cone)
+
+
 def member_cone(lams, n: int, m: int) -> MembershipVerdict:
     """Decide cone membership for odd m by checking every inequality.
 
-    Domain rows (weak decrease, nonnegativity) are checked first so that
-    malformed rows always get a monotone/nonneg certificate; a violated
-    inequality is returned as the certificate and evaluates strictly
-    positive on the input.
+    The rows are flattened once and checked against the compiled system,
+    domain rows (weak decrease, nonnegativity) first, so that malformed rows
+    always get a monotone/nonneg certificate.  The entries are first scaled
+    to integers by the lcm of their denominators: every inequality is linear
+    and homogeneous, so a positive scale keeps each sign and the first
+    violated inequality is the same.  That inequality is returned as the
+    certificate and evaluates strictly positive on the input.
     """
-    rows = _pad_rows(lams, n, m)
-    system = inequality_system(n, m)
-    domain = [iq for iq in system.inequalities if iq.origin in ("monotone", "nonneg")]
-    cone = [iq for iq in system.inequalities if iq.origin in ("trace", "horn")]
-    for iq in domain:
-        if iq.value(rows) > 0:
-            return MembershipVerdict(False, iq, note="domain")
-    for iq in cone:
-        if iq.value(rows) > 0:
-            note = f"level {iq.level} (window length {m - 2 * iq.level})"
+    flat = [x for row in _pad_rows(lams, n, m) for x in row]
+    scale = lcm(*(x.denominator for x in flat))
+    flat = [x.numerator * (scale // x.denominator) for x in flat]
+    for coeffs, iq in _compiled(n, m):
+        if sum(map(mul, coeffs, flat)) > 0:
+            if iq.origin in _DOMAIN:
+                note = "domain"
+            else:
+                note = f"level {iq.level} (window length {m - 2 * iq.level})"
             return MembershipVerdict(False, iq, note=note)
     return MembershipVerdict(True, None, note="all levels hold")
 

@@ -168,7 +168,7 @@ def tuple_of_weight(w: dict, n: int, m: int):
     a zero pairing against the sincere dimension vector; raises ValueError
     otherwise.  Returns m weakly decreasing nonnegative rows of length n.
     """
-    if frozenset(w.keys()) != _vertex_keys(n, m):
+    if w.keys() != _vertex_keys(n, m):
         raise ValueError("weight not indexed by the star quiver's vertices")
     for i in range(1, m + 1):
         sign = -1 if i % 2 else 1
@@ -193,10 +193,9 @@ def dimvector_of_subsets(st: SubsetTuple, at_zero: int) -> dict[Vertex, int]:
     """Dimension vector counting, on arm i, the subset elements at most j."""
     d: dict[Vertex, int] = {APEX: at_zero}
     for i, s in enumerate(st.sets, 1):
-        members = set(s)
-        count = 0
+        count = 0  # elements of the sorted subset s that are at most j
         for j in range(1, st.n + 1):
-            if j in members:
+            if count < len(s) and s[count] == j:
                 count += 1
             d[(j, i)] = count
     return d
@@ -208,19 +207,19 @@ def subsets_of_dimvector(b: dict, n: int, m: int) -> SubsetTuple:
     Requires every arm to be weakly increasing from 0 in steps of 0 or 1;
     raises ValueError otherwise.  The apex value is ignored.
     """
-    if frozenset(b.keys()) != _vertex_keys(n, m):
+    if b.keys() != _vertex_keys(n, m):
         raise ValueError("vector not indexed by the star quiver's vertices")
     sets = []
     for i in range(1, m + 1):
         prev = 0
         jumps = []
         for j in range(1, n + 1):
-            step = b[(j, i)] - prev
-            if step == 1:
+            height = b[(j, i)]
+            if height == prev + 1:
                 jumps.append(j)
-            elif step != 0:
+            elif height != prev:
                 raise ValueError(f"arm {i} is not a unit-jump profile at height {j}")
-            prev = b[(j, i)]
+            prev = height
         sets.append(tuple(jumps))
     return SubsetTuple(tuple(sets), n)
 

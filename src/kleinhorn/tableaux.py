@@ -52,25 +52,38 @@ def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
 
 
 def _strip_extensions(mu: Partition, size: int, bound: Partition) -> list[Partition]:
-    """Partitions tau inside bound with tau/mu a horizontal strip of the given size."""
-    rows = len(bound)
+    """Partitions tau inside bound with tau/mu a horizontal strip of the given size.
+
+    Rows are chosen top to bottom, each length in increasing order, with an
+    explicit stack of candidate ranges, so results come out in lexicographic
+    order.  A horizontal strip keeps tau_i <= mu_(i-1), so rows below the
+    first empty row of mu stay empty and are not searched.
+    """
+    rows = min(len(bound), len(mu) + 1)
+    if rows == 0:
+        return [()] if size == 0 else []
     mup = mu + (0,) * (rows - len(mu))
     out: list[Partition] = []
-
-    def grow(i: int, acc: tuple[int, ...], rem: int) -> None:
-        if i == rows:
-            if rem == 0:
-                t = acc
-                while t and t[-1] == 0:
-                    t = t[:-1]
-                out.append(t)
-            return
-        lo = mup[i]
-        hi = min(bound[i], mup[i - 1] if i > 0 else bound[i], lo + rem)
-        for v in range(lo, hi + 1):
-            grow(i + 1, acc + (v,), rem - (v - lo))
-
-    grow(0, (), size)
+    acc = [0] * rows  # acc[i]: the chosen length of row i
+    rem = [size] * rows  # rem[i]: strip cells still to place in rows i and below
+    stack = [iter(range(mup[0], min(bound[0], mup[0] + size) + 1))]
+    while stack:
+        i = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        acc[i] = v
+        left = rem[i] - (v - mup[i])
+        if i + 1 < rows:
+            rem[i + 1] = left
+            lo = mup[i + 1]
+            stack.append(iter(range(lo, min(bound[i + 1], mup[i], lo + left) + 1)))
+        elif left == 0:
+            t = tuple(acc)
+            while t and t[-1] == 0:
+                t = t[:-1]
+            out.append(t)
     return out
 
 

@@ -4,7 +4,8 @@ These deliberately take different routes from the production code: tableaux
 are enumerated cell by cell in forward reading order with a final lattice
 check, Kostka numbers come from direct semistandard fillings rather than
 strip peeling, and chained coefficients from explicit nested sums.  The Horn index set is
-the plain filter over every subset tuple, with every row rebuilt per tuple.
+the plain filter over every subset tuple, with every row rebuilt per tuple, and cone
+membership evaluates each inequality's matrix with Inequality.value.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
+from kleinhorn.cone import MembershipVerdict, inequality_system
 from kleinhorn.partitions import adjusted_conjugate, is_partition, normalize, subsets_of_range
 from kleinhorn.tableaux import gen_lr, lr_coefficient
 
@@ -203,3 +205,24 @@ def horn_index_set_by_filter(n: int, m: int):
         if all(is_partition(r) for r in rows) and gen_lr([normalize(r) for r in rows]) == 1:
             out.append(sets)
     return tuple(out)
+
+
+def member_cone_by_value(lams, n: int, m: int) -> MembershipVerdict:
+    """Cone membership by evaluating every inequality of the system on the rows as given.
+
+    The domain rows (monotone, nonneg) are filtered out and checked first, then
+    the trace and horn rows, each with Inequality.value in exact arithmetic; the
+    first violated inequality is the certificate.
+    """
+    rows = [tuple(lam) for lam in lams]
+    system = inequality_system(n, m)
+    domain = [iq for iq in system.inequalities if iq.origin in ("monotone", "nonneg")]
+    cone = [iq for iq in system.inequalities if iq.origin in ("trace", "horn")]
+    for iq in domain:
+        if iq.value(rows) > 0:
+            return MembershipVerdict(False, iq, note="domain")
+    for iq in cone:
+        if iq.value(rows) > 0:
+            note = f"level {iq.level} (window length {m - 2 * iq.level})"
+            return MembershipVerdict(False, iq, note=note)
+    return MembershipVerdict(True, None, note="all levels hold")

@@ -41,6 +41,14 @@ def test_kostka(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_kostka_long_shape(capsys):
+    column = ",".join(["1"] * 1200)
+    code, out, _ = run(capsys, "kostka", column, "1200")
+    assert code == 0 and out == "0\n"
+    code, out, _ = run(capsys, "kostka", column, column)
+    assert code == 0 and out == "1\n"
+
+
 def test_genlr(capsys):
     code, out, _ = run(capsys, "genlr", "", "2,1", "2,1", "", "")
     assert code == 0 and out == "1\n"

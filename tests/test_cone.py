@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import horn_index_set_by_filter
+from bruteforce import horn_index_set_by_filter, member_cone_by_value
 from kleinhorn.cone import (
     UnsupportedLengthError,
     horn_index_set,
@@ -172,6 +174,45 @@ def test_member_cone_rejects_bad_shapes():
         member_cone([(1, 1), (1,), (1,)], 1, 3)
     with pytest.raises(UnsupportedLengthError):
         member_cone([(1,), (1,), (1,), (1,)], 1, 4)
+
+
+def _random_tuple(rng: random.Random, n: int, m: int, kind: str):
+    """m rows of width <= n: integer partitions, except as kind says."""
+
+    def row(den: int = 1):
+        parts = sorted((rng.randint(0, 4 * den) for _ in range(n)), reverse=True)
+        if den == 1:
+            return tuple(p for p in parts if p)
+        return tuple(Fraction(p, den) for p in parts)
+
+    if kind == "integer":
+        return [row() for _ in range(m)]
+    if kind == "small denominators":
+        return [row(rng.choice((1, 2, 3, 6))) for _ in range(m)]
+    rows = [row() for _ in range(m)]
+    i = rng.randrange(m)
+    if kind == "large prime denominator":
+        rows[i] = row(1_000_003)
+    elif n > 1 and rng.random() < 0.5:  # malformed: an increasing row
+        rows[i] = tuple(sorted(rng.sample(range(5), n)))
+    else:  # malformed: a negative part
+        rows[i] = tuple(rows[i])[: n - 1] + (-rng.randint(1, 3),)
+    return rows
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (2, 7)])
+def test_member_cone_matches_evaluation_by_value(n, m):
+    rng = random.Random(1000 * n + m)
+    origins = Counter()
+    for kind in ("integer", "small denominators", "large prime denominator", "malformed"):
+        for _ in range(60):
+            lams = _random_tuple(rng, n, m, kind)
+            verdict = member_cone(lams, n, m)
+            assert verdict == member_cone_by_value(lams, n, m), (kind, lams)
+            origins[verdict.certificate.origin if verdict.certificate else "member"] += 1
+    assert origins["member"]
+    assert origins["trace"] + origins["horn"]
+    assert origins["monotone"] + origins["nonneg"]
 
 
 def test_member_single_row_examples():
