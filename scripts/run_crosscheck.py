@@ -9,26 +9,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from kleinhorn.oracle import cross_check
 
 
-@dataclass(frozen=True)
-class GridCase:
-    n: int
-    m: int
-    bound: int
-
-
+# (n, m, bound) triples
 DEFAULT_GRID = (
-    GridCase(1, 3, 4),
-    GridCase(2, 3, 3),
-    GridCase(1, 5, 3),
-    GridCase(2, 5, 2),
-    GridCase(3, 3, 2),
-    GridCase(1, 4, 3),
-    GridCase(1, 6, 2),
+    (1, 3, 4),
+    (2, 3, 3),
+    (1, 5, 3),
+    (2, 5, 2),
+    (3, 3, 2),
+    (1, 4, 3),
+    (1, 6, 2),
 )
 
 
@@ -39,18 +32,18 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.case:
-        cases = [GridCase(*map(int, c.split(","))) for c in args.case]
+        cases = [tuple(map(int, c.split(","))) for c in args.case]
     else:
         cases = list(DEFAULT_GRID)
 
     bad = 0
-    for case in cases:
+    for n, m, bound in cases:
         start = time.perf_counter()
-        report = cross_check(case.n, case.m, case.bound)
+        report = cross_check(n, m, bound)
         took = time.perf_counter() - start
         status = "ok" if report.clean else f"{len(report.disagreements)} DISAGREEMENTS"
         print(
-            f"n={case.n} m={case.m} bound={case.bound}: {report.total} tuples, "
+            f"n={n} m={m} bound={bound}: {report.total} tuples, "
             f"routes=[{','.join(report.routes)}], {status} ({took:.2f}s)"
         )
         for d in report.disagreements:

@@ -32,7 +32,6 @@ from .tableaux import gen_lr, kostka_number, lr_coefficient, lr_complements
 from .quiver import (
     APEX,
     Quiver,
-    SubsetTuple,
     build_star,
     dimvector_of_subsets,
     euler_form,

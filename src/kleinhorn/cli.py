@@ -38,14 +38,14 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _parse_rows(text: str, n: int, m: int):
-    """Semicolon-separated rational rows: (rows, integer rows, scale).
+    """Semicolon-separated rational rows: (integer rows, scale).
 
     Checks the row count against m and each row's shape against n.
     """
     rows = tuple(parse_rational_parts(chunk) for chunk in text.split(";"))
     if len(rows) != m:
         raise ValueError(f"expected m = {m} rows, got {len(rows)}")
-    return (rows, *clear_denominators(rows, n))
+    return clear_denominators(rows, n)
 
 
 def _chain_text(mus) -> str:
@@ -105,7 +105,7 @@ def _cmd_ineqs(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    rows, scaled, scale = _parse_rows(args.types, args.n, args.m)
+    ints, scale = _parse_rows(args.types, args.n, args.m)
     if args.m < 3:
         return _fail("need m >= 3", USAGE)
 
@@ -115,14 +115,14 @@ def _cmd_decide(args) -> int:
         available = cone.routes(args.n, args.m)
         if available:
             route, decide = available[0]
-            ineq_verdict = decide(rows)
+            ineq_verdict = decide(ints)
         elif args.method == "ineq":
             return _fail(
                 f"no inequality route for n = {args.n}, m = {args.m}; use --method oracle",
                 UNSUPPORTED,
             )
     if args.method in ("oracle", "both"):
-        outcome = witness_search(scaled, args.n)
+        outcome = witness_search(ints, args.n)
         oracle_member = outcome.chain is not None
 
     if ineq_verdict is not None and oracle_member is not None:
@@ -153,7 +153,7 @@ def _cmd_decide(args) -> int:
         print("member" if member else "not a member")
         if not member and ineq_verdict is not None and ineq_verdict.certificate is not None:
             cert = ineq_verdict.certificate
-            print(f"violated: {cert.render()} (value {cert.value(rows)})")
+            print(f"violated: {cert.render()} (value {Fraction(cert.value(ints), scale)})")
         if oracle_member is not None:
             if outcome.chain is not None:
                 suffix = f" (after scaling by {scale})" if scale != 1 else ""
@@ -164,7 +164,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    _, lams, scale = _parse_rows(args.types, args.n, args.m)
+    lams, scale = _parse_rows(args.types, args.n, args.m)
     if scale != 1:
         return _fail("witness search needs integer partitions; use decide for rational input", USAGE)
     outcome = witness_search(lams, args.n)

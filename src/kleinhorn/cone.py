@@ -361,19 +361,23 @@ def _window_inequality(m: int, i: int, j: int) -> Inequality:
     return Inequality(_freeze(mat), "alt", position=(i, j))
 
 
-def interior_point(n: int, m: int, max_part: int = 8, limit: int = 200_000):
+_INTERIOR_CANDIDATES = 200_000
+
+
+def interior_point(n: int, m: int, max_part: int = 8):
     """A tuple of strictly decreasing positive rows strictly inside the cone.
 
     Rows are searched in (size, lex) order and tuples in product order, so
     the result is deterministic; every emitted inequality must evaluate
-    strictly negative.  Raises if nothing is found within the search limit.
+    strictly negative.  Raises if none of the first 200,000 candidate tuples
+    is strictly inside.
     """
     system = inequality_system(n, m)
     rows = sorted(
         (tuple(reversed(combo)) for combo in combinations(range(1, max_part + 1), n)),
         key=lambda r: (sum(r), r),
     )
-    for cand in islice(product(rows, repeat=m), limit):
+    for cand in islice(product(rows, repeat=m), _INTERIOR_CANDIDATES):
         if all(iq.value(cand) < 0 for iq in system.inequalities):
             return cand
     raise RuntimeError(f"no strict interior point found for n={n}, m={m} with parts <= {max_part}")

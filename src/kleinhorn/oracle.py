@@ -100,19 +100,24 @@ def witness_chain(lams, n: int) -> WitnessChain | None:
 def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
     """Validate rational rows and scale them to integers: (partitions, scale).
 
-    Every row must be weakly decreasing and nonnegative with at most n parts;
-    scale is the least common multiple of all denominators (1 for integer rows).
+    Every row must be weakly decreasing and nonnegative with at most n nonzero
+    parts (trailing zeros do not count); scale is the least common multiple of
+    all denominators (1 for integer rows).
     """
     rows = []
     for k, lam in enumerate(lams, 1):
         row = tuple(Fraction(x) for x in lam)
         if not is_partition(row):
             raise ValueError(f"row {k} ({format_partition(row)!r}) is not weakly decreasing and nonnegative")
-        if len(row) > n:
-            raise ValueError(f"row {k} ({format_partition(row)!r}) has more than n = {n} parts")
         rows.append(row)
     scale = math.lcm(*(x.denominator for row in rows for x in row), 1)
-    return [normalize(tuple(int(x * scale) for x in row)) for row in rows], scale
+    ints = []
+    for k, row in enumerate(rows, 1):
+        part = normalize(tuple(int(x * scale) for x in row))
+        if len(part) > n:
+            raise ValueError(f"row {k} ({format_partition(row)!r}) has more than n = {n} parts")
+        ints.append(part)
+    return ints, scale
 
 
 def rational_member(lams, n: int) -> bool:

@@ -10,28 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .partitions import check_subset, is_weakly_decreasing, pad_to
 
 Vertex = tuple[int, int]
 APEX: Vertex = (0, 0)
-
-
-@dataclass(frozen=True)
-class SubsetTuple:
-    """An m-tuple of subsets of {1..n}, each a sorted tuple."""
-
-    sets: tuple[tuple[int, ...], ...]
-    n: int
-
-    def __post_init__(self):
-        for s in self.sets:
-            check_subset(s, self.n)
-
-    @property
-    def m(self) -> int:
-        return len(self.sets)
 
 
 @dataclass(frozen=True)
@@ -97,9 +81,14 @@ def _is_acyclic(q: Quiver) -> bool:
     return seen == len(q.vertices)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _vertex_keys(n: int, m: int) -> frozenset[Vertex]:
     return frozenset({APEX} | {(j, i) for i in range(1, m + 1) for j in range(1, n + 1)})
+
+
+def _require_star_keys(v: dict, n: int, m: int) -> None:
+    if v.keys() != _vertex_keys(n, m):
+        raise ValueError("vector not indexed by the star quiver's vertices")
 
 
 def star_dimension(n: int, m: int) -> dict[Vertex, int]:
@@ -111,15 +100,10 @@ def star_dimension(n: int, m: int) -> dict[Vertex, int]:
     return d
 
 
-def _require_indexed(q: Quiver, v: dict) -> None:
-    if set(v.keys()) != set(q.vertices):
-        raise ValueError("vector not indexed by the quiver's vertices")
-
-
 def euler_form(q: Quiver, a: dict, b: dict):
     """Sum of a(x)b(x) over vertices minus sum of a(tail)b(head) over arrows."""
-    _require_indexed(q, a)
-    _require_indexed(q, b)
+    _require_star_keys(a, q.n, q.m)
+    _require_star_keys(b, q.n, q.m)
     s = sum(a[x] * b[x] for x in q.vertices)
     s -= sum(mult * a[t] * b[h] for t, h, mult in q.arrows)
     return s
@@ -168,8 +152,7 @@ def tuple_of_weight(w: dict, n: int, m: int):
     a zero pairing against the sincere dimension vector; raises ValueError
     otherwise.  Returns m weakly decreasing nonnegative rows of length n.
     """
-    if w.keys() != _vertex_keys(n, m):
-        raise ValueError("weight not indexed by the star quiver's vertices")
+    _require_star_keys(w, n, m)
     for i in range(1, m + 1):
         sign = -1 if i % 2 else 1
         for j in range(1, n + 1):
@@ -189,26 +172,30 @@ def tuple_of_weight(w: dict, n: int, m: int):
     return tuple(rows)
 
 
-def dimvector_of_subsets(st: SubsetTuple, at_zero: int) -> dict[Vertex, int]:
-    """Dimension vector counting, on arm i, the subset elements at most j."""
+def dimvector_of_subsets(sets, n: int, at_zero: int) -> dict[Vertex, int]:
+    """Dimension vector counting, on arm i, the elements of sets[i-1] at most j.
+
+    Each subset must be a strictly increasing tuple inside 1..n; raises
+    ValueError otherwise.
+    """
     d: dict[Vertex, int] = {APEX: at_zero}
-    for i, s in enumerate(st.sets, 1):
+    for i, s in enumerate(sets, 1):
+        check_subset(s, n)
         count = 0  # elements of the sorted subset s that are at most j
-        for j in range(1, st.n + 1):
+        for j in range(1, n + 1):
             if count < len(s) and s[count] == j:
                 count += 1
             d[(j, i)] = count
     return d
 
 
-def subsets_of_dimvector(b: dict, n: int, m: int) -> SubsetTuple:
-    """Invert dimvector_of_subsets: jump positions along each arm.
+def subsets_of_dimvector(b: dict, n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Invert dimvector_of_subsets: the m tuples of jump positions, one per arm.
 
     Requires every arm to be weakly increasing from 0 in steps of 0 or 1;
     raises ValueError otherwise.  The apex value is ignored.
     """
-    if b.keys() != _vertex_keys(n, m):
-        raise ValueError("vector not indexed by the star quiver's vertices")
+    _require_star_keys(b, n, m)
     sets = []
     for i in range(1, m + 1):
         prev = 0
@@ -221,7 +208,7 @@ def subsets_of_dimvector(b: dict, n: int, m: int) -> SubsetTuple:
                 raise ValueError(f"arm {i} is not a unit-jump profile at height {j}")
             prev = height
         sets.append(tuple(jumps))
-    return SubsetTuple(tuple(sets), n)
+    return tuple(sets)
 
 
 def _json_value(x):
@@ -241,7 +228,7 @@ def quiver_to_json_dict(q: Quiver) -> dict:
 
 def vector_to_json_dict(q: Quiver, v: dict) -> dict:
     """Values listed in the quiver's canonical vertex order."""
-    _require_indexed(q, v)
+    _require_star_keys(v, q.n, q.m)
     return {
         "vertices": [list(x) for x in q.vertices],
         "values": [_json_value(v[x]) for x in q.vertices],

@@ -142,22 +142,15 @@ def gen_lr(lams) -> int:
 
     Sums, over all chains of intermediate partitions, the product of the
     coefficients linking consecutive entries; for m = 3 this is the plain
-    coefficient of the middle partition against the outer two.  The
-    alternating size relation fixes every intermediate size, so any negative
-    forced size (or a final mismatch) gives zero.
+    coefficient of the middle partition against the outer two.  The chain
+    enforces the alternating size relation itself: a prefix that outgrows the
+    next partition has no complement, and a last partition of the wrong size
+    is never reached, so either gives zero.
     """
     lams = tuple(normalize(l) for l in lams)
     m = len(lams)
     if m < 3:
         raise ValueError(f"need at least three partitions, got {m}")
-    sizes = [sum(l) for l in lams]
-    need = sizes[0]
-    for i in range(1, m - 1):
-        need = sizes[i] - need
-        if need < 0:
-            return 0
-    if need != sizes[m - 1]:
-        return 0
     state: dict[Partition, int] = {lams[0]: 1}
     for i in range(1, m - 1):
         nxt: dict[Partition, int] = defaultdict(int)

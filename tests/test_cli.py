@@ -151,8 +151,9 @@ def test_decide_rational(capsys):
     code, out, _ = run(capsys, "decide", "-n", "1", "-m", "3", "1/2;1;1/2")
     assert code == 0
     assert "witness: [];[1];[1];[] (after scaling by 2)" in out
-    code, _, _ = run(capsys, "decide", "-n", "1", "-m", "3", "1/2;3/2;1/2")
+    code, out, _ = run(capsys, "decide", "-n", "1", "-m", "3", "1/2;3/2;1/2")
     assert code == 1
+    assert "(value 1/2)" in out  # the certificate is evaluated on the unscaled rows
 
 
 def test_decide_method_ineq_only(capsys):
@@ -196,6 +197,17 @@ def test_decide_usage_errors(capsys):
     assert code == 2 and "m >= 3" in err
     code, _, err = run(capsys, "decide", "-n", "1", "-m", "3", "1,1;2;1")
     assert code == 2 and "more than n = 1" in err
+
+
+@pytest.mark.parametrize("verb", ["decide", "witness"])
+def test_trailing_zeros_are_not_parts(capsys, verb):
+    # "2,0" is the partition (2), as lr, kostka and genlr read it
+    plain = run(capsys, verb, "-n", "1", "-m", "3", "2;1;1")
+    padded = run(capsys, verb, "-n", "1", "-m", "3", "2,0;1;1")
+    assert padded[:2] == plain[:2]
+    assert plain[0] == 0
+    code, _, _ = run(capsys, verb, "-n", "1", "-m", "3", "0,0;0;0")
+    assert code == 0
 
 
 def test_decide_large_single_part(capsys):

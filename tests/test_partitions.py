@@ -26,7 +26,7 @@ from kleinhorn.partitions import (
     subpartitions,
     subsets_of_range,
 )
-from kleinhorn.quiver import SubsetTuple
+from kleinhorn.quiver import dimvector_of_subsets
 
 partition_st = st.lists(st.integers(1, 9), max_size=8).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -94,7 +94,7 @@ def test_subset_validators_agree_on_rejection(bad):
     with pytest.raises(ValueError):
         parse_subset(format_subset(bad), n)
     with pytest.raises(ValueError):
-        SubsetTuple((bad,), n)
+        dimvector_of_subsets((bad,), n, 0)
 
 
 def test_adjusted_conjugate_branches():

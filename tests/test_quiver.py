@@ -12,7 +12,6 @@ from kleinhorn.partitions import subsets_of_range, to_json
 from kleinhorn.quiver import (
     APEX,
     Quiver,
-    SubsetTuple,
     build_star,
     dimvector_of_subsets,
     euler_form,
@@ -125,6 +124,28 @@ def test_euler_form_index_check():
         euler_form(q, {APEX: 1}, _unit(q, APEX))
 
 
+_STAR_2_3 = build_star(2, 3)
+_KEYED_ENTRY_POINTS = {
+    "euler_form": lambda v: euler_form(_STAR_2_3, v, v),
+    "vector_to_json_dict": lambda v: vector_to_json_dict(_STAR_2_3, v),
+    "tuple_of_weight": lambda v: tuple_of_weight(v, 2, 3),
+    "subsets_of_dimvector": lambda v: subsets_of_dimvector(v, 2, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_KEYED_ENTRY_POINTS))
+def test_star_vertex_keys_checked(entry):
+    call = _KEYED_ENTRY_POINTS[entry]
+    zero = {x: 0 for x in _STAR_2_3.vertices}
+    call(zero)  # the zero vector is valid everywhere, so only the keys can fail
+    missing = dict(zero)
+    del missing[(2, 3)]
+    with pytest.raises(ValueError):
+        call(missing)
+    with pytest.raises(ValueError):
+        call({**zero, (3, 1): 0})
+
+
 def test_weight_of_tuple_example():
     w = weight_of_tuple([(2,), (3,), (1,)], 1)
     assert w == {APEX: 0, (1, 1): -2, (1, 2): 3, (1, 3): -1}
@@ -202,10 +223,9 @@ def test_tuple_of_weight_validation():
 
 
 def test_dimvector_of_subsets_full_and_empty():
-    st3 = SubsetTuple(((1, 2), (1, 2), (1, 2)), 2)
-    assert dimvector_of_subsets(st3, 1) == star_dimension(2, 3)
-    empty = SubsetTuple(((), (), ()), 2)
-    vec = dimvector_of_subsets(empty, 0)
+    full = ((1, 2), (1, 2), (1, 2))
+    assert dimvector_of_subsets(full, 2, 1) == star_dimension(2, 3)
+    vec = dimvector_of_subsets(((), (), ()), 2, 0)
     assert all(v == 0 for v in vec.values())
 
 
@@ -213,14 +233,13 @@ def test_subsets_of_dimvector_roundtrip_small():
     for n, m in [(1, 3), (2, 3), (2, 4), (3, 3)]:
         subs = subsets_of_range(n)
         for combo in product(subs, repeat=m):
-            stuple = SubsetTuple(combo, n)
             for z in (0, 1):
-                vec = dimvector_of_subsets(stuple, z)
-                assert subsets_of_dimvector(vec, n, m).sets == combo
+                vec = dimvector_of_subsets(combo, n, z)
+                assert subsets_of_dimvector(vec, n, m) == combo
 
 
 def test_subsets_of_dimvector_rejects_non_unit_jumps():
-    vec = dimvector_of_subsets(SubsetTuple(((1,), (), ()), 1), 0)
+    vec = dimvector_of_subsets(((1,), (), ()), 1, 0)
     vec[(1, 2)] = 2
     with pytest.raises(ValueError):
         subsets_of_dimvector(vec, 1, 3)
@@ -237,7 +256,7 @@ def test_weight_pairing_closed_forms():
         w = weight_of_tuple(lams, 2)
         padded = [t + (0,) * (2 - len(t)) for t in lams]
         for combo in product(subs, repeat=3):
-            vec = dimvector_of_subsets(SubsetTuple(combo, 2), 0)
+            vec = dimvector_of_subsets(combo, 2, 0)
             expect = 0
             for i, s in enumerate(combo, 1):
                 sign = 1 if i % 2 == 0 else -1
@@ -246,7 +265,7 @@ def test_weight_pairing_closed_forms():
             # complementary vector (apex 1): pairing flips sign because the
             # weight pairs to zero with the sincere vector
             comp = dimvector_of_subsets(
-                SubsetTuple(tuple(tuple(sorted(set((1, 2)) - set(s))) for s in combo), 2), 1
+                tuple(tuple(sorted(set((1, 2)) - set(s))) for s in combo), 2, 1
             )
             assert weight_pairing(w, comp) == -expect
 
@@ -254,7 +273,7 @@ def test_weight_pairing_closed_forms():
 def test_weight_pairing_balanced_example():
     # sizes 2 - 3 + 1 balance, so the full singleton tuple pairs to zero
     w = weight_of_tuple([(2,), (3,), (1,)], 1)
-    vec = dimvector_of_subsets(SubsetTuple(((1,), (1,), (1,)), 1), 0)
+    vec = dimvector_of_subsets(((1,), (1,), (1,)), 1, 0)
     assert weight_pairing(w, vec) == 0
 
 

@@ -169,6 +169,7 @@ def test_gen_lr_frozen_values():
     assert gen_lr([(), (2, 1), (), (2, 1), ()]) == 0
     assert gen_lr([(), (2, 1), (2, 1), (), ()]) == 1
     assert gen_lr([(3,), (1,), (1,)]) == 0
+    assert gen_lr([(1,), (2,), (2,)]) == 0  # the last size mismatches
     with pytest.raises(ValueError):
         gen_lr([(1,), (1,)])
 
