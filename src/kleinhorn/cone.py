@@ -56,9 +56,6 @@ class Inequality:
                     total += c * lam[j]
         return total
 
-    def is_trivial(self) -> bool:
-        return all(c == 0 for crow in self.coeffs for c in crow)
-
     def to_json_dict(self) -> dict:
         return {
             "origin": self.origin,
@@ -177,47 +174,24 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(found)
 
 
-def _zero_matrix(m: int, n: int) -> list[list[int]]:
-    return [[0] * n for _ in range(m)]
+def _matrix(m: int, n: int, cells) -> tuple[tuple[int, ...], ...]:
+    """The m-by-n matrix with c at each 1-based (row, column, c) cell and 0 elsewhere."""
+    mat = [[0] * n for _ in range(m)]
+    for i, j, c in cells:
+        mat[i - 1][j - 1] = c
+    return tuple(map(tuple, mat))
 
 
-def _freeze(mat) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in mat)
+def _window_cells(level: int, sets):
+    """Cells of a window row: +1 on even and -1 on odd inner rows, at each subset's columns.
 
-
-def _trace_inequality(n: int, m: int, level: int) -> Inequality:
-    """Even inner rows minus odd inner rows, whole-row coefficients."""
-    mat = _zero_matrix(m, n)
-    inner_len = m - 2 * level
-    for i in range(1, inner_len + 1):
-        sign = 1 if i % 2 == 0 else -1
-        mat[i + level - 1] = [sign] * n
-    return Inequality(_freeze(mat), "trace", level=level)
-
-
-def _horn_inequality(n: int, m: int, level: int, sets: tuple[tuple[int, ...], ...]) -> Inequality:
-    """Subset-restricted column sums: + on even inner rows, - on odd."""
-    mat = _zero_matrix(m, n)
+    Inner row i is outer row i + level.  The trace row is the window of the
+    all-full tuple, the one tuple horn_index_set leaves out; the n = 1 alt
+    certificate is the window of one-column subsets.
+    """
     for i, s in enumerate(sets, 1):
-        sign = 1 if i % 2 == 0 else -1
         for j in s:
-            mat[i + level - 1][j - 1] = sign
-    return Inequality(_freeze(mat), "horn", level=level, subsets=sets)
-
-
-def _monotone_inequality(n: int, m: int, i: int, j: int) -> Inequality:
-    """Row i must weakly decrease across column j."""
-    mat = _zero_matrix(m, n)
-    mat[i - 1][j - 1] = -1
-    mat[i - 1][j] = 1
-    return Inequality(_freeze(mat), "monotone", position=(i, j))
-
-
-def _nonneg_inequality(n: int, m: int, i: int) -> Inequality:
-    """Row i must end nonnegative."""
-    mat = _zero_matrix(m, n)
-    mat[i - 1][n - 1] = -1
-    return Inequality(_freeze(mat), "nonneg", position=(i,))
+            yield i + level, j, 1 if i % 2 == 0 else -1
 
 
 @cache
@@ -228,26 +202,31 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
     positions keep their own parity.  Identically-zero subset rows (from the
     all-empty tuple) are suppressed and counted, never emitted.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if m < 3 or m % 2 == 0:
         raise UnsupportedLengthError(
             f"no inequality description for m = {m}; use the witness-chain oracle"
         )
+    full = tuple(range(1, n + 1))
     ineqs: list[Inequality] = []
     suppressed = 0
     for level in range((m - 3) // 2 + 1):
         inner_len = m - 2 * level
-        ineqs.append(_trace_inequality(n, m, level))
+        trace = _matrix(m, n, _window_cells(level, (full,) * inner_len))
+        ineqs.append(Inequality(trace, "trace", level=level))
         for sets in horn_index_set(n, inner_len):
-            iq = _horn_inequality(n, m, level, sets)
-            if iq.is_trivial():
+            if not any(sets):
                 suppressed += 1
             else:
-                ineqs.append(iq)
+                horn = _matrix(m, n, _window_cells(level, sets))
+                ineqs.append(Inequality(horn, "horn", level=level, subsets=sets))
     for i in range(1, m + 1):
         for j in range(1, n):
-            ineqs.append(_monotone_inequality(n, m, i, j))
+            cells = ((i, j, -1), (i, j + 1, 1))
+            ineqs.append(Inequality(_matrix(m, n, cells), "monotone", position=(i, j)))
     for i in range(1, m + 1):
-        ineqs.append(_nonneg_inequality(n, m, i))
+        ineqs.append(Inequality(_matrix(m, n, ((i, n, -1),)), "nonneg", position=(i,)))
     return InequalitySystem(n, m, tuple(ineqs), suppressed)
 
 
@@ -346,19 +325,11 @@ def member_single_row(values, m: int | None = None) -> MembershipVerdict:
         for j in range(i, m + 1):
             acc += sign * vals[j - 1]
             if (j - i) % 2 == 0 and acc < 0:
-                return MembershipVerdict(False, _window_inequality(m, i, j), note=f"window ({i},{j})")
+                window = _matrix(m, 1, _window_cells(i - 1, ((1,),) * (j - i + 1)))
+                cert = Inequality(window, "alt", position=(i, j))
+                return MembershipVerdict(False, cert, note=f"window ({i},{j})")
             sign = -sign
     return MembershipVerdict(True, None, note="all alternating windows hold")
-
-
-def _window_inequality(m: int, i: int, j: int) -> Inequality:
-    """<= 0 form of the alternating window starting and ending at i, j."""
-    mat = _zero_matrix(m, 1)
-    sign = -1
-    for v in range(i, j + 1):
-        mat[v - 1][0] = sign
-        sign = -sign
-    return Inequality(_freeze(mat), "alt", position=(i, j))
 
 
 _INTERIOR_CANDIDATES = 200_000

@@ -102,8 +102,10 @@ def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
 
     Every row must be weakly decreasing and nonnegative with at most n nonzero
     parts (trailing zeros do not count); scale is the least common multiple of
-    all denominators (1 for integer rows).
+    all denominators (1 for integer rows).  Raises ValueError unless n >= 1.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rows = []
     for k, lam in enumerate(lams, 1):
         row = tuple(Fraction(x) for x in lam)
@@ -157,8 +159,13 @@ def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
 
     The grid is all m-tuples of partitions with at most n parts, each at most
     bound; the routes are those cone.routes lists for (n, m).  Disagreements
-    are collected in grid order.
+    are collected in grid order.  Raises ValueError unless n >= 1 and
+    bound >= 0.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if bound < 0:
+        raise ValueError(f"need bound >= 0, got {bound}")
     # imported here: the comparison harness may use the inequality modules,
     # the decision procedure above must not
     from .cone import UnsupportedLengthError, routes

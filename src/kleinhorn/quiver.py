@@ -158,7 +158,8 @@ def tuple_of_weight(w: dict, n: int, m: int):
         for j in range(1, n + 1):
             if sign * w[(j, i)] < 0:
                 raise ValueError(f"chamber inequality fails at vertex {(j, i)}")
-    if weight_pairing(w, star_dimension(n, m)) != 0:
+    # the pairing with star_dimension(n, m), whose keys were just checked
+    if w[APEX] + sum(j * w[(j, i)] for i in range(1, m + 1) for j in range(1, n + 1)) != 0:
         raise ValueError("weight does not pair to zero with the sincere dimension vector")
     rows = []
     for i in range(1, m + 1):

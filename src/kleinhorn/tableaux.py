@@ -26,7 +26,6 @@ def lr_coefficient(outer: Partition, left: Partition, right: Partition) -> int:
     return dict(lr_complements(outer, left)).get(normalize(right), 0)
 
 
-@cache
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
     """Count semistandard tableaux of the given shape and content.
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -114,6 +115,23 @@ def test_ineqs_json_matches_golden(capsys):
         assert out.strip() == (GOLDEN / f"ineqs_n{n}_m{m}.json").read_text().strip()
 
 
+# sha256 of the exact stdout; the (4,5) and (2,9) digests are also the ones
+# perfbench/reference.json records for the index-build workload
+@pytest.mark.parametrize(
+    "n,m,digest",
+    [
+        (4, 5, "51af8db3552c20844b9727c55a036858d3c47b7e074e8adbb75a220861e748f1"),
+        (3, 7, "f24e780006fed9d495da61bf011a1752574f4b31bef71afa044af059b208635d"),
+        (2, 9, "4be806af91f13a85e4be386d7a80ddf3fc870f99760dcfb0ecd7614a7d1c84e7"),
+    ],
+    ids=["n4-m5", "n3-m7", "n2-m9"],
+)
+def test_ineqs_json_digest_larger_shapes(capsys, n, m, digest):
+    code, out, _ = run(capsys, "ineqs", "-n", str(n), "-m", str(m), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_ineqs_even_m_unsupported(capsys):
     code, _, err = run(capsys, "ineqs", "-n", "1", "-m", "4")
     assert code == 3 and "error:" in err
@@ -208,6 +226,30 @@ def test_trailing_zeros_are_not_parts(capsys, verb):
     assert plain[0] == 0
     code, _, _ = run(capsys, verb, "-n", "1", "-m", "3", "0,0;0;0")
     assert code == 0
+
+
+# n < 1 and a negative grid bound are usage errors whichever route would run
+BAD_SIZE_CASES = [
+    pytest.param(("decide", "-n", "0", "-m", "3", ";;"), "need n >= 1, got 0", id="decide-n0"),
+    pytest.param(
+        ("decide", "-n", "0", "-m", "3", "--method", "oracle", ";;"), "need n >= 1, got 0", id="oracle-n0"
+    ),
+    pytest.param(("decide", "-n", "0", "-m", "4", ";;;"), "need n >= 1, got 0", id="even-m-n0"),
+    pytest.param(("witness", "-n", "0", "-m", "3", ";;"), "need n >= 1, got 0", id="witness-n0"),
+    pytest.param(("decide", "-n", "-2", "-m", "3", ";;"), "need n >= 1, got -2", id="decide-n-2"),
+    pytest.param(("ineqs", "-n", "0", "-m", "4"), "need n >= 1, got 0", id="ineqs-n0"),
+    pytest.param(("crosscheck", "-n", "0", "-m", "4", "--bound", "1"), "need n >= 1, got 0", id="crosscheck-n0"),
+    pytest.param(
+        ("crosscheck", "-n", "1", "-m", "3", "--bound", "-1"), "need bound >= 0, got -1", id="crosscheck-bound-1"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_SIZE_CASES)
+def test_bad_size_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_decide_large_single_part(capsys):
