@@ -13,6 +13,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 
 Partition = tuple[int, ...]
 IntSeq = tuple[int, ...]
@@ -62,9 +63,7 @@ def conjugate(p: Partition) -> Partition:
 
 def contains(outer, inner) -> bool:
     """Diagram containment, row by row (both arguments canonical partitions)."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def pad_to(seq, length: int) -> tuple:

@@ -5,7 +5,9 @@ are enumerated cell by cell in forward reading order with a final lattice
 check, Kostka numbers come from direct semistandard fillings rather than
 strip peeling, and chained coefficients from explicit nested sums.  The Horn index set is
 the plain filter over every subset tuple, with every row rebuilt per tuple, and cone
-membership evaluates each inequality's matrix with Inequality.value.
+membership evaluates each inequality's matrix with Inequality.value.  The
+witness search tries every subpartition of the first type as mu(0) and every
+listed complement as each later entry, with no filter.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from collections import Counter
 from itertools import product
 
 from kleinhorn.cone import MembershipVerdict, inequality_system
-from kleinhorn.partitions import adjusted_conjugate, is_partition, normalize, subsets_of_range
-from kleinhorn.tableaux import gen_lr, lr_coefficient
+from kleinhorn.oracle import SearchOutcome, WitnessChain
+from kleinhorn.partitions import adjusted_conjugate, is_partition, normalize, subpartitions, subsets_of_range
+from kleinhorn.tableaux import gen_lr, lr_coefficient, lr_complements
 
 
 def ssyt_count(shape, content) -> int:
@@ -226,3 +229,40 @@ def member_cone_by_value(lams, n: int, m: int) -> MembershipVerdict:
             note = f"level {iq.level} (window length {m - 2 * iq.level})"
             return MembershipVerdict(False, iq, note=note)
     return MembershipVerdict(True, None, note="all levels hold")
+
+
+def witness_search_unfiltered(lams, n: int) -> SearchOutcome:
+    """The lex-smallest witness chain by plain depth-first search.
+
+    mu(0) runs over every subpartition of the first type in lexicographic
+    order and each later mu over the whole complement listing, with dead
+    (position, partition) states memoized; explored counts expanded states.
+    """
+    lams = tuple(normalize(l) for l in lams)
+    m = len(lams)
+    if m < 3:
+        raise ValueError(f"need at least three partitions, got {m}")
+    for lam in lams:
+        if len(lam) > n:
+            raise ValueError(f"partition {lam!r} has more than n = {n} parts")
+    dead = set()
+    explored = 0
+    chain = []
+    stack = [subpartitions(lams[0])]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            if chain:
+                dead.add((len(chain), chain.pop()))
+            continue
+        chain.append(nxt)
+        pos = len(chain)
+        if pos == m + 1:
+            return SearchOutcome(WitnessChain(tuple(chain)), explored)
+        if (pos, nxt) in dead:
+            chain.pop()
+            continue
+        explored += 1
+        stack.append(nu for nu, _ in lr_complements(lams[pos - 1], nxt))
+    return SearchOutcome(None, explored)

@@ -296,6 +296,13 @@ def test_witness_many_parts(capsys):
     assert chain_is_valid(WitnessChain(tuple(chain)), lams)
 
 
+def test_witness_large_parts_small_intersection(capsys):
+    # lam_1 and lam_2 share one box, so mu(0) is tried from two candidates only
+    code, out, _ = run(capsys, "witness", "-n", "3", "-m", "3", "60,60,60;1;90,90,1", "--json")
+    assert code == 0
+    assert json.loads(out) == {"exists": True, "chain": [[60, 60, 59], [1], [], [90, 90, 1]]}
+
+
 def test_witness_rejects_rationals(capsys):
     code, _, err = run(capsys, "witness", "-n", "1", "-m", "3", "1/2;1;1/2")
     assert code == 2 and "use decide" in err
@@ -345,8 +352,9 @@ def test_help_and_usage_exit_codes(capsys):
 
 
 # Each golden under tests/golden/cli_<name>.json is the exact stdout of the
-# listed command.  A deliberate format change re-records it by running the
-# command and writing its stdout to the file; review the diff before committing.
+# listed command.  A deliberate change to the output or a printed count
+# re-records them all with `PYTHONPATH=src python scripts/export_goldens.py`,
+# which reads this list; review the diff before committing.
 CLI_GOLDEN_CASES = [
     ("snm_n2_m3", ["snm", "-n", "2", "-m", "3", "--json"], 0),
     ("decide_member", ["decide", "-n", "2", "-m", "3", "--json", "2,1;1;2,1"], 0),

@@ -7,8 +7,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import witness_search_unfiltered
 from kleinhorn.cone import member_cone
 from kleinhorn.oracle import (
+    WitnessChain,
     chain_is_valid,
     cross_check,
     rational_member,
@@ -66,6 +68,38 @@ def test_witness_long_single_row_chain():
 def test_chain_is_valid_rejects_wrong_shapes():
     chain = witness_chain([(1,), (2,), (1,)], 1)
     assert not chain_is_valid(chain, [(1,), (2,), (2,)])
+
+
+def test_chain_is_valid_rejects_non_partitions():
+    # an entry that is not a partition makes the chain invalid, not an error
+    lams = [(3,), (3,), (1,), (2,)]
+    assert not chain_is_valid(WitnessChain(((), (1, 2), (), (1,), (1,))), lams)
+    assert not chain_is_valid(WitnessChain(((), (3,), (), (1,), (-1,))), lams)
+    assert chain_is_valid(WitnessChain(((), (3,), (), (1,), (1,))), lams)
+
+
+def test_witness_matches_unfiltered_reference():
+    # same chain or same None as the search over every subpartition of lam_1
+    rng = random.Random(8)
+    members = 0
+    for _ in range(30000):
+        n, m, top = rng.randint(1, 3), rng.randint(3, 8), rng.randint(1, 5)
+        lams = [() if rng.random() < 0.2 else tuple(sorted((rng.randint(0, top) for _ in range(n)), reverse=True))
+                for _ in range(m)]
+        got = witness_search(lams, n).chain
+        want = witness_search_unfiltered(lams, n).chain
+        assert (got and got.mus) == (want and want.mus), lams
+        members += got is not None
+    assert 0 < members < 30000
+
+
+def test_witness_search_cost_pins():
+    # mu(0) comes from mu(1) inside lam_1 and lam_2 = (1): 79,421 states by the plain search
+    out = witness_search([(60, 60, 60), (1,), (90, 90, 1)], 3)
+    assert out.chain.mus == ((60, 60, 59), (1,), (), (90, 90, 1)) and out.explored == 3
+    # 635,376 candidates for mu(0); the keys are walked lazily from the least
+    out = witness_search([(60, 60, 60, 60), (60, 60, 60, 60), ()], 4)
+    assert out.chain.mus == ((), (60, 60, 60, 60), (), ()) and out.explored == 3
 
 
 def test_witness_rejects_bad_input():

@@ -156,6 +156,15 @@ def test_lr_complements_complete_and_positive():
                     assert lr_coefficient(lam, mu, nu) == 0
 
 
+@pytest.mark.parametrize("box", [(3, 6), (4, 5)])
+def test_least_complement_is_sorted_skew_rows(box):
+    # the dominance-minimal constituent of s_{lam/mu}: the witness search's closed form
+    for lam in partitions_in_box(*box):
+        for mu in subpartitions(lam):
+            rows = [a - (mu[i] if i < len(mu) else 0) for i, a in enumerate(lam)]
+            assert lr_complements(lam, mu)[0][0] == tuple(sorted((r for r in rows if r), reverse=True))
+
+
 def test_gen_lr_matches_plain_lr_for_three():
     grid = list(partitions_in_box(2, 2))
     for a, b, c in product(grid, repeat=3):
