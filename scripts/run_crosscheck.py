@@ -1,7 +1,11 @@
 """Exhaustive comparison of the witness search against the closed descriptions.
 
 Runs the full grid of type tuples for each configured case and reports any
-disagreement between the decision routes.  Exits nonzero if any is found.
+disagreement between the decision routes.  Exits 0 when every case is
+clean, 1 when a disagreement is found, 2 on a malformed or rejected case and
+4 on any other error.
+
+    PYTHONPATH=src python scripts/run_crosscheck.py [--case N,M,BOUND ...]
 """
 
 from __future__ import annotations
@@ -25,21 +29,34 @@ DEFAULT_GRID = (
 )
 
 
+def parse_case(text: str) -> tuple[int, int, int]:
+    """An N,M,BOUND triple of integers."""
+    try:
+        n, m, bound = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N,M,BOUND, got {text!r}") from None
+    return n, m, bound
+
+
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--case", action="append", metavar="N,M,BOUND",
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--case", action="append", metavar="N,M,BOUND", type=parse_case,
                         help="run only these cases (repeatable), e.g. --case 2,3,3")
     args = parser.parse_args()
 
-    if args.case:
-        cases = [tuple(map(int, c.split(","))) for c in args.case]
-    else:
-        cases = list(DEFAULT_GRID)
-
     bad = 0
-    for n, m, bound in cases:
+    for n, m, bound in args.case or DEFAULT_GRID:
         start = time.perf_counter()
-        report = cross_check(n, m, bound)
+        try:
+            report = cross_check(n, m, bound)
+        except ValueError as e:  # includes UnsupportedLengthError
+            print(f"error: case {n},{m},{bound}: {e}", file=sys.stderr)
+            return 2
+        except Exception as e:  # a crash must not read as "disagreements found"
+            print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+            return 4
         took = time.perf_counter() - start
         status = "ok" if report.clean else f"{len(report.disagreements)} DISAGREEMENTS"
         print(

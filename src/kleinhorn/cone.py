@@ -9,6 +9,7 @@ Even m has no such description here; callers are directed to the oracle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, islice, product
@@ -122,20 +123,40 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
     The tuples are built by a depth-first search over positions 1..m with an
     explicit stack, trying subsets in subsets_of_range order at each position,
-    so they come out in product order.  Row i is fixed once I_(i+1) is chosen;
-    it depends only on I_i and its shift (odd interior rows only), so each
+    so they come out in product order.  Row i depends only on I_i, except at
+    odd interior positions, where its shift also needs I_(i-1) and I_(i+1);
+    each row is fixed at the first depth that determines it, and each
     (I_i, shift) row is built once per call.  A prefix is dropped as soon as a
-    row is not a partition, |I_1| != |I_2|, or the alternating size that
-    gen_lr forces on the next chain step goes negative; only full tuples that
-    pass every screen reach gen_lr.
+    row is not a partition or the alternating size that gen_lr forces on the
+    next chain step goes negative.  I_2 is drawn only from the subsets of size
+    |I_1|.  I_m is drawn only from the subsets of size |I_(m-1)| and weight
+    need, the size gen_lr forces on the last row: that row is an unshifted
+    end row, the padded conjugate of the partition (z_r - r, ..., z_1 - 1) of
+    I_m = {z_1 < ... < z_r}, so it is always a partition and its size is the
+    weight sum(I_m) - r(r + 1)/2.  A last row of any other size makes gen_lr
+    zero, so the bucket holds exactly the I_m that pass the size screens.
+    Both buckets keep subsets_of_range order.  Only full tuples that pass
+    every screen reach gen_lr.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if m < 3 or m % 2 == 0:
+    if m < 3:
+        raise ValueError(f"need m >= 3, got {m}")
+    if m % 2 == 0:
         raise UnsupportedLengthError(
             f"no inequality description for m = {m}; use the witness-chain oracle"
         )
     subsets = subsets_of_range(n)
+    by_size: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    by_size_weight: dict[tuple[int, int], list[tuple[int, ...]]] = defaultdict(list)
+    for s in subsets:
+        r = len(s)
+        by_size[r].append(s)
+        by_size_weight[r, sum(s) - r * (r + 1) // 2].append(s)
+    # fix_at[k]: the rows that I_(k+1) completes, in chain order
+    fix_at: list[list[int]] = [[] for _ in range(m)]
+    for i in range(m):
+        fix_at[i + 1 if 0 < i < m - 1 and i % 2 == 0 else i].append(i)
     memo: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
     sets: list[tuple[int, ...]] = [()] * m  # I_1..I_m, valid up to the current depth
     rows: list[tuple[int, ...]] = [()] * m  # normalized adjusted conjugates, fixed so far
@@ -149,12 +170,8 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             stack.pop()
             continue
         sets[k] = s
-        if (k == 1 or k == m - 1) and len(s) != len(sets[k - 1]):
-            continue
-        # fix row k - 1 now that its neighbours are chosen, and row k at a leaf
-        for i in range(max(k - 1, 0), k if k < m - 1 else m):
-            odd_interior = 0 < i < m - 1 and i % 2 == 0
-            shift = len(sets[i]) - len(sets[i + 1]) - len(sets[i - 1]) if odd_interior else 0
+        for i in fix_at[k]:
+            shift = len(sets[i]) - len(sets[i + 1]) - len(sets[i - 1]) if i < k else 0
             key = (sets[i], shift)
             if key not in memo:
                 row = adjusted_conjugate(sets, i + 1, n)
@@ -167,9 +184,13 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             if need[i] < 0:
                 break
         else:
-            if k < m - 1:
+            if k == 0:
+                stack.append(iter(by_size[len(s)]))
+            elif k == m - 2:
+                stack.append(iter(by_size_weight.get((len(s), need[k]), ())))
+            elif k < m - 2:
                 stack.append(iter(subsets))
-            elif need[m - 1] == 0 and any(len(t) < n for t in sets) and gen_lr(rows) == 1:
+            elif any(len(t) < n for t in sets) and gen_lr(rows) == 1:
                 found.append(tuple(sets))
     return tuple(found)
 
@@ -204,7 +225,9 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if m < 3 or m % 2 == 0:
+    if m < 3:
+        raise ValueError(f"need m >= 3, got {m}")
+    if m % 2 == 0:
         raise UnsupportedLengthError(
             f"no inequality description for m = {m}; use the witness-chain oracle"
         )

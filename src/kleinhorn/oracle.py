@@ -237,11 +237,13 @@ def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
 
     The grid is all m-tuples of partitions with at most n parts, each at most
     bound; the routes are those cone.routes lists for (n, m).  Disagreements
-    are collected in grid order.  Raises ValueError unless n >= 1 and
-    bound >= 0.
+    are collected in grid order.  Raises ValueError unless n >= 1, m >= 3
+    and bound >= 0.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if m < 3:
+        raise ValueError(f"need m >= 3, got {m}")
     if bound < 0:
         raise ValueError(f"need bound >= 0, got {bound}")
     # imported here: the comparison harness may use the inequality modules,

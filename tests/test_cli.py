@@ -95,6 +95,22 @@ def test_snm_json_counts_larger_shapes(capsys, n, m, count):
     assert payload["count"] == count == len(payload["tuples"])
 
 
+# sha256 of the exact stdout, recorded before the bucketed search; pins the
+# tuple order at shapes the brute-force filter cannot reach
+@pytest.mark.parametrize(
+    "n,m,digest",
+    [
+        (5, 5, "11915f7460f9dd459a79bbd03d294e016086933a6787bfbf11acd5839129bd70"),
+        (8, 3, "06715797f64a5836e6e720c032a0340c526693ab494ef9eee75705ec1d6c419e"),
+    ],
+    ids=["n5-m5", "n8-m3"],
+)
+def test_snm_json_digest_larger_shapes(capsys, n, m, digest):
+    code, out, _ = run(capsys, "snm", "-n", str(n), "-m", str(m), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_snm_even_m_unsupported(capsys):
     code, _, err = run(capsys, "snm", "-n", "2", "-m", "4")
     assert code == 3 and "error:" in err
@@ -242,6 +258,10 @@ BAD_SIZE_CASES = [
     pytest.param(
         ("crosscheck", "-n", "1", "-m", "3", "--bound", "-1"), "need bound >= 0, got -1", id="crosscheck-bound-1"
     ),
+    pytest.param(("snm", "-n", "2", "-m", "1"), "need m >= 3, got 1", id="snm-m1"),
+    pytest.param(("ineqs", "-n", "2", "-m", "2"), "need m >= 3, got 2", id="ineqs-m2"),
+    pytest.param(("crosscheck", "-n", "2", "-m", "2", "--bound", "1"), "need m >= 3, got 2", id="crosscheck-m2"),
+    pytest.param(("crosscheck", "-n", "1", "-m", "-1", "--bound", "2"), "need m >= 3, got -1", id="crosscheck-m-1"),
 ]
 
 

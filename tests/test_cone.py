@@ -77,7 +77,7 @@ def test_horn_index_set_equal_edge_cardinalities():
 
 
 @pytest.mark.parametrize(
-    "n,m", [(1, 3), (1, 5), (1, 7), (1, 9), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3)]
+    "n,m", [(1, 3), (1, 5), (1, 7), (1, 9), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3), (5, 3)]
 )
 def test_horn_index_set_matches_bruteforce_filter(n, m):
     # same tuples in the same order as the filter over every subset tuple
@@ -87,8 +87,10 @@ def test_horn_index_set_matches_bruteforce_filter(n, m):
 def test_horn_index_set_rejects_even_or_tiny_m():
     with pytest.raises(UnsupportedLengthError):
         horn_index_set(2, 4)
-    with pytest.raises(UnsupportedLengthError):
+    # m < 3 is a usage error, not an unsupported length: no route covers it
+    with pytest.raises(ValueError, match="need m >= 3, got 2") as caught:
         horn_index_set(1, 2)
+    assert not isinstance(caught.value, UnsupportedLengthError)
     with pytest.raises(ValueError):
         horn_index_set(0, 3)
 
