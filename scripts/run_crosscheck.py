@@ -1,9 +1,10 @@
 """Exhaustive comparison of the witness search against the closed descriptions.
 
-Runs the full grid of type tuples for each configured case and reports any
-disagreement between the decision routes.  Exits 0 when every case is
-clean, 1 when a disagreement is found, 2 on a malformed or rejected case and
-4 on any other error.
+Runs `kleinhorn crosscheck` on the full grid of type tuples for each
+configured case and prints its report and the time the case took.  The exit
+code is the CLI's: 0 when every case is clean, 1 when a disagreement is
+found; a case the CLI rejects (2 usage, 3 unsupported, 4 internal) stops the
+run with that code.  A malformed --case exits 2.
 
     PYTHONPATH=src python scripts/run_crosscheck.py [--case N,M,BOUND ...]
 """
@@ -14,7 +15,7 @@ import argparse
 import sys
 import time
 
-from kleinhorn.oracle import cross_check
+from kleinhorn import cli
 
 
 # (n, m, bound) triples
@@ -46,27 +47,15 @@ def main() -> int:
                         help="run only these cases (repeatable), e.g. --case 2,3,3")
     args = parser.parse_args()
 
-    bad = 0
+    worst = 0
     for n, m, bound in args.case or DEFAULT_GRID:
         start = time.perf_counter()
-        try:
-            report = cross_check(n, m, bound)
-        except ValueError as e:  # includes UnsupportedLengthError
-            print(f"error: case {n},{m},{bound}: {e}", file=sys.stderr)
-            return 2
-        except Exception as e:  # a crash must not read as "disagreements found"
-            print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
-            return 4
-        took = time.perf_counter() - start
-        status = "ok" if report.clean else f"{len(report.disagreements)} DISAGREEMENTS"
-        print(
-            f"n={n} m={m} bound={bound}: {report.total} tuples, "
-            f"routes=[{','.join(report.routes)}], {status} ({took:.2f}s)"
-        )
-        for d in report.disagreements:
-            print(f"  {d.route} says {d.other}, oracle says {d.oracle} on {d.lams}")
-        bad += len(report.disagreements)
-    return 1 if bad else 0
+        code = cli.main(["crosscheck", "-n", str(n), "-m", str(m), "--bound", str(bound)])
+        if code > 1:
+            return code
+        print(f"  took {time.perf_counter() - start:.2f}s")
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .oracle import clear_denominators, cross_check, witness_search
 from .partitions import (
     format_partition,
     format_subset,
+    parse_int_parts,
     parse_partition,
     parse_rational_parts,
     to_json,
@@ -61,19 +62,12 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_kostka(args) -> int:
-    shape = parse_partition(args.shape)
-    content = parse_rational_parts(args.content)
-    if any(Fraction(a).denominator != 1 or a < 0 for a in content):
-        raise ValueError(f"content must be nonnegative integers: {args.content!r}")
-    print(kostka_number(shape, tuple(int(a) for a in content)))
+    print(kostka_number(parse_partition(args.shape), parse_int_parts(args.content)))
     return OK
 
 
 def _cmd_genlr(args) -> int:
-    if len(args.partitions) < 3:
-        return _fail("genlr needs at least three partitions", USAGE)
-    lams = [parse_partition(t) for t in args.partitions]
-    print(gen_lr(lams))
+    print(gen_lr([parse_partition(t) for t in args.partitions]))
     return OK
 
 

@@ -221,16 +221,10 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
 
     Level k applies the length-(m - 2k) description to rows 1+k .. m-k; inner
     positions keep their own parity.  Identically-zero subset rows (from the
-    all-empty tuple) are suppressed and counted, never emitted.
+    all-empty tuple) are suppressed and counted, never emitted.  horn_index_set
+    checks n and m before any row is built.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
-    if m % 2 == 0:
-        raise UnsupportedLengthError(
-            f"no inequality description for m = {m}; use the witness-chain oracle"
-        )
+    horn_index_set(n, m)
     full = tuple(range(1, n + 1))
     ineqs: list[Inequality] = []
     suppressed = 0

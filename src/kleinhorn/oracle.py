@@ -180,20 +180,22 @@ def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
 
     Every row must be weakly decreasing and nonnegative with at most n nonzero
     parts (trailing zeros do not count); scale is the least common multiple of
-    all denominators (1 for integer rows).  Raises ValueError unless n >= 1.
+    all denominators (1 for integer rows).  Int parts are kept as they are and
+    any other part is read as a Fraction, so integer rows are scaled with int
+    arithmetic only.  Raises ValueError unless n >= 1.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rows = []
     for k, lam in enumerate(lams, 1):
-        row = tuple(Fraction(x) for x in lam)
+        row = tuple(x if type(x) is int else Fraction(x) for x in lam)
         if not is_partition(row):
             raise ValueError(f"row {k} ({format_partition(row)!r}) is not weakly decreasing and nonnegative")
         rows.append(row)
-    scale = math.lcm(*(x.denominator for row in rows for x in row), 1)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
     ints = []
     for k, row in enumerate(rows, 1):
-        part = normalize(tuple(int(x * scale) for x in row))
+        part = normalize(tuple(x.numerator * (scale // x.denominator) for x in row))
         if len(part) > n:
             raise ValueError(f"row {k} ({format_partition(row)!r}) has more than n = {n} parts")
         ints.append(part)

@@ -18,7 +18,7 @@ from operator import le
 Partition = tuple[int, ...]
 IntSeq = tuple[int, ...]
 
-_INT_TOKEN = re.compile(r"[+-]?\d+")
+_PART = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def is_weakly_decreasing(seq) -> bool:
@@ -169,38 +169,36 @@ def subpartitions(p: Partition):
         yield tuple(cur)
 
 
-def parse_int_parts(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; '' and '0' denote the empty sequence."""
+def parse_rational_parts(text: str) -> tuple[int | Fraction, ...]:
+    """Comma-separated parts, each an optional sign, ASCII digits and an optional /q, q > 0.
+
+    An integer part reads as an int and a p/q part as a Fraction; spaces are
+    ignored and '' is the empty sequence.
+    """
     t = text.strip().replace(" ", "")
-    if t in ("", "0"):
+    if not t:
         return ()
     parts = []
     for tok in t.split(","):
-        if not _INT_TOKEN.fullmatch(tok):
-            raise ValueError(f"bad integer part {tok!r} in {text!r}")
-        parts.append(int(tok))
+        match = _PART.fullmatch(tok)
+        if match is None:
+            raise ValueError(f"bad rational part {tok!r} in {text!r}")
+        p, q = match.groups()
+        parts.append(int(p) if q is None else Fraction(int(p), int(q)))
     return tuple(parts)
+
+
+def parse_int_parts(text: str) -> tuple[int, ...]:
+    """parse_rational_parts, where every part must have an integer value."""
+    parts = parse_rational_parts(text)
+    for x in parts:
+        if x.denominator != 1:
+            raise ValueError(f"part {x} of {text!r} is not an integer")
+    return tuple(x.numerator for x in parts)
 
 
 def parse_partition(text: str) -> Partition:
-    parts = parse_int_parts(text)
-    if not is_partition(parts):
-        raise ValueError(f"not weakly decreasing and nonnegative: {text!r}")
-    return normalize(parts)
-
-
-def parse_rational_parts(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals (p/q allowed); '' and '0' denote the empty sequence."""
-    t = text.strip().replace(" ", "")
-    if t in ("", "0"):
-        return ()
-    parts = []
-    for tok in t.split(","):
-        try:
-            parts.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad rational part {tok!r} in {text!r}") from None
-    return tuple(parts)
+    return normalize(parse_int_parts(text))
 
 
 def parse_subset(text: str, n: int) -> tuple[int, ...]:
@@ -208,24 +206,13 @@ def parse_subset(text: str, n: int) -> tuple[int, ...]:
     t = text.strip().replace(" ", "")
     if t.startswith("{") and t.endswith("}"):
         t = t[1:-1]
-    if t == "":
-        return ()
-    elems = []
-    for tok in t.split(","):
-        if not _INT_TOKEN.fullmatch(tok):
-            raise ValueError(f"bad subset element {tok!r} in {text!r}")
-        elems.append(int(tok))
-    zs = tuple(elems)
+    zs = parse_int_parts(t)
     check_subset(zs, n)
     return zs
 
 
-def format_partition(p, length: int | None = None) -> str:
-    """Comma-separated parts, zero-padded to a display length if given."""
-    seq = tuple(p)
-    if length is not None:
-        seq = pad_to(seq, length)
-    return ",".join(str(x) for x in seq)
+def format_partition(p) -> str:
+    return ",".join(str(x) for x in p)
 
 
 def format_subset(s) -> str:

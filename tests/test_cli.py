@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,59 @@ def test_witness_large_parts_small_intersection(capsys):
 def test_witness_rejects_rationals(capsys):
     code, _, err = run(capsys, "witness", "-n", "1", "-m", "3", "1/2;1;1/2")
     assert code == 2 and "use decide" in err
+
+
+# One parts grammar on every verb: an optional sign, ASCII digits, optionally /q
+BAD_PART_FORMS = [("1_0", "underscore"), ("\u0661", "arabic-indic-digit"), ("1.5", "decimal"), ("1e3", "exponent")]
+BAD_PART_VERBS = [
+    ("lr", lambda part: ("lr", part, "1", "1")),
+    ("kostka-shape", lambda part: ("kostka", part, "1")),
+    ("kostka-content", lambda part: ("kostka", "1", part)),
+    ("genlr", lambda part: ("genlr", part, "1", "1")),
+    ("decide", lambda part: ("decide", "-n", "1", "-m", "3", f"{part};1;1")),
+    ("witness", lambda part: ("witness", "-n", "1", "-m", "3", f"{part};1;1")),
+]
+
+
+@pytest.mark.parametrize(
+    "part,argv",
+    [
+        pytest.param(part, make(part), id=f"{verb}-{form}")
+        for part, form in BAD_PART_FORMS
+        for verb, make in BAD_PART_VERBS
+    ],
+)
+def test_part_grammar_rejects_other_number_forms(capsys, part, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(part) in err
+
+
+def test_integer_valued_fraction_reads_as_integer(capsys):
+    assert run(capsys, "lr", "2/2", "1", "4/2") == run(capsys, "lr", "1", "1", "2")
+    assert run(capsys, "lr", "2/2", "1", "4/2")[:2] == (0, "1\n")
+    assert run(capsys, "kostka", "4/2,2/2", "1,2/2,1")[:2] == (0, "2\n")
+    code, out, err = run(capsys, "lr", "1/2", "1", "1")
+    assert (code, out) == (2, "") and err.count("\n") == 1
+
+
+def test_decide_long_chain_integer_and_halved_parts(capsys):
+    # lam_i = mu_(i-1) + mu_i links consecutive single rows: a member of length 1200
+    rng = random.Random(1)
+    mus = [rng.randint(0, 30) for _ in range(1201)]
+    lams = [(mus[i] + mus[i + 1],) for i in range(1200)]
+    argv = ("decide", "-n", "1", "-m", "1200", "--method", "oracle", "--json")
+    code, out, _ = run(capsys, *argv, ";".join(str(lam[0]) for lam in lams))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["member"] is True and payload["scale"] == 1
+    chain = tuple(tuple(mu) for mu in payload["witness"])
+    assert chain_is_valid(WitnessChain(chain), lams)
+    code, out, _ = run(capsys, *argv, ";".join(f"{lam[0]}/2" for lam in lams))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["member"] is True and payload["scale"] == 2
 
 
 def test_crosscheck_text(capsys):

@@ -140,6 +140,13 @@ def test_system_levels_nest():
 def test_inequality_system_rejects_even_m():
     with pytest.raises(UnsupportedLengthError):
         inequality_system(1, 4)
+    # the checks are horn_index_set's, with its messages and in its order
+    for n, m, message in ((0, 3, "need n >= 1, got 0"), (0, 4, "need n >= 1, got 0"),
+                          (2, 1, "need m >= 3, got 1"), (2, 2, "need m >= 3, got 2")):
+        with pytest.raises(ValueError) as caught:
+            inequality_system(n, m)
+        assert str(caught.value) == message
+        assert not isinstance(caught.value, UnsupportedLengthError)
 
 
 def test_member_cone_examples():

@@ -208,7 +208,6 @@ def test_parsing():
 def test_formatting():
     assert format_partition((3, 1)) == "3,1"
     assert format_partition(()) == ""
-    assert format_partition((3, 1), length=4) == "3,1,0,0"
     assert format_subset((2, 5)) == "{2,5}"
     assert format_subset(()) == "{}"
 
