@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import sub
 
 from .partitions import (
@@ -64,15 +64,19 @@ def _least_partner(lam: Partition, mu: Partition) -> Partition:
     return tuple(rows[: len(rows) - rows.count(0)])
 
 
-def _first_entries(lam: Partition, nxt: Partition):
-    """The distinct _least_partner(lam, mu1) over mu1 inside lam and nxt, ascending.
+def _first_entries(lam: Partition, nxt: Partition, lo: int, hi: int):
+    """The distinct _least_partner(lam, mu1) of size lo..hi over mu1 inside lam and nxt, ascending.
 
     A best-first walk down from the intersection of lam and nxt; see facts
-    (c) and (d) of witness_search.  A node is d, the row lengths of lam/mu1
-    padded to len(lam) rows, with the lowest row j it may still take a box
-    from: boxes leave the rows bottom row first, so each mu1 is reached once.
-    Heap keys keep their trailing zeros, which does not change their order.
+    (c), (d) and (e) of witness_search.  A node is d, the row lengths of
+    lam/mu1 padded to len(lam) rows, with the lowest row j it may still take
+    a box from: boxes leave the rows bottom row first, so each mu1 is reached
+    once.  The key of d has size sum(d), and each step down adds one, so the
+    walk stops below a node of size hi.  Heap keys keep their trailing zeros,
+    which does not change their order.
     """
+    if lo > hi:
+        return
     k = len(lam)
     top = tuple(map(min, lam, nxt))
     d = tuple(map(sub, lam, top + (0,) * (k - len(top))))
@@ -80,9 +84,12 @@ def _first_entries(lam: Partition, nxt: Partition):
     last = None
     while heap:
         key, d, j = heapq.heappop(heap)
-        if key != last:
+        size = sum(d)
+        if key != last and lo <= size <= hi:
             last = key
             yield tuple(key[: k - key.count(0)])
+        if size >= hi:
+            continue
         for r in range(j + 1):
             # mu1 loses a box from row r: it must stay above row r + 1
             if lam[r] - d[r] > (lam[r + 1] - d[r + 1] if r + 1 < k else 0):
@@ -98,7 +105,7 @@ def witness_search(lams, n: int) -> SearchOutcome:
     complement listing of lam(i)/mu(i-1) that extends.  Dead (position,
     partition) states are memoized within the search, and the search keeps
     an explicit stack, so the chain length is not bounded by the recursion
-    limit.  It visits only entries that can be extended, by four facts:
+    limit.  It visits only entries that can be extended, by five facts:
 
     (a) mu has a partner nu with c^lam_{mu,nu} != 0 iff mu fits inside lam.
         A coefficient is zero unless mu fits, and when it fits, s_{lam/mu}
@@ -132,11 +139,23 @@ def witness_search(lams, n: int) -> SearchOutcome:
         best-first walk (heapq) down from the intersection of lam(1) and
         lam(2) therefore yields the keys in ascending order without listing
         every mu1 first; a type of (60, 60, 60, 60) has 635,376 of them.
+    (e) The sizes telescope.  A nonzero c^lam_{mu,nu} forces |mu| + |nu| =
+        |lam|, so by induction on i every chain has |mu(i)| = s_i +
+        (-1)^i |mu(0)|, where s_0 = 0 and s_i = |lam(i)| - s_(i-1).  Each
+        |mu(i)| is at least 0, so |mu(0)| >= -s_i for even i and |mu(0)| <=
+        s_i for odd i: lo <= |mu(0)| <= hi with lo = max(0, -s_i over even
+        i) and hi = min(s_i over odd i).  A key outside this window starts no
+        chain, so skipping it leaves the first key that extends unchanged.
+        The key of mu1 has size |lam(1)| - |mu1|, which by (d) grows by one
+        with each box taken out of mu1, so the walk yields only keys of size
+        lo..hi and never goes below a node of size hi.  When lo > hi no
+        mu(0) has an admissible size and nothing is walked.
 
     explored counts the states expanded: each mu(0) key tried and each later
     mu(i), 0 < i < m, that fits inside lam(i+1) and is not already known
-    dead.  The chain and the verdict are those of trying every subpartition
-    of lam(1) as mu(0) with no filter; only explored differs.
+    dead.  It is 0 when no key has a size in the window of (e).  The chain
+    and the verdict are those of trying every subpartition of lam(1) as
+    mu(0) with no filter; only explored differs.
     """
     lams = tuple(normalize(l) for l in lams)
     m = len(lams)
@@ -148,8 +167,10 @@ def witness_search(lams, n: int) -> SearchOutcome:
     dead: set[tuple[int, Partition]] = set()
     explored = 0
     chain: list[Partition] = []  # mu(0..k) chosen so far
+    # s_0..s_m of fact (e): even i bound |mu(0)| below, odd i above
+    s = list(accumulate(map(sum, lams), lambda prev, size: size - prev, initial=0))
     # stack[k] yields the remaining candidates for mu(k), in canonical order
-    stack = [_first_entries(lams[0], lams[1])]
+    stack = [_first_entries(lams[0], lams[1], max(-x for x in s[::2]), min(s[1::2]))]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
@@ -206,7 +227,9 @@ def rational_member(lams, n: int) -> bool:
     """Membership for weakly decreasing nonnegative rational rows.
 
     Clears denominators by their least common multiple and decides the
-    scaled integer tuple; saturation makes the answer scale-invariant.
+    scaled integer tuple.  The answer does not depend on the scale for
+    m = 3, where Knutson-Tao saturation proves it; for other m nothing
+    proves it, and tests only check it on small grids.
     """
     rows, _ = clear_denominators(lams, n)
     return witness_chain(rows, n) is not None

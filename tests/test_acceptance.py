@@ -105,12 +105,14 @@ def test_single_row_equals_oracle():
 
 @criterion(5, "membership is saturated: a tuple belongs iff its double belongs")
 def test_saturation():
-    grid = list(partitions_in_box(2, 2))
-    for lams in product(grid, repeat=3):
-        once = witness_search(lams, 2).chain is not None
-        doubled = [pad_add(p, p) for p in lams]
-        twice = witness_search(doubled, 2).chain is not None
-        assert once == twice, lams
+    # Knutson-Tao proves m = 3; the even-m grids only check scale invariance
+    for n, m, bound in [(2, 3, 2), (2, 4, 4), (3, 4, 2), (2, 6, 2)]:
+        grid = list(partitions_in_box(n, bound))
+        for lams in product(grid, repeat=m):
+            once = witness_search(lams, n).chain is not None
+            doubled = [pad_add(p, p) for p in lams]
+            twice = witness_search(doubled, n).chain is not None
+            assert once == twice, lams
 
 
 @criterion(6, "the solution cone is full-dimensional: strict interior points exist")

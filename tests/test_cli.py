@@ -213,7 +213,8 @@ def test_decide_json_schema(capsys):
     assert payload["certificate"]["origin"] == "trace"
     assert payload["witness"] is None
     assert payload["scale"] == 1
-    assert payload["explored"] >= 1
+    # |mu(2)| = 3 - |mu(1)| >= 2 exceeds |lam(3)| = 1: no |mu(0)| is admissible
+    assert payload["explored"] == 0
     code, out, _ = run(capsys, "decide", "-n", "1", "-m", "3", "--json", "1;2;1")
     payload = json.loads(out)
     assert code == 0 and payload["member"] is True
@@ -303,7 +304,7 @@ def test_witness_text_and_json(capsys):
     code, out, _ = run(capsys, "witness", "-n", "1", "-m", "3", "--json", "1;3;1")
     assert code == 1
     payload = json.loads(out)
-    assert payload["exists"] is False and payload["search_space"] >= 1
+    assert payload == {"exists": False, "search_space": 0}
 
 
 def test_witness_many_parts(capsys):
@@ -440,6 +441,7 @@ CLI_GOLDEN_CASES = [
     ("decide_ineq_only", ["decide", "-n", "2", "-m", "5", "--method", "ineq", "--json", "2,1;2,1;;;"], 0),
     ("witness_chain", ["witness", "-n", "2", "-m", "3", "--json", "2,1;1;2,1"], 0),
     ("witness_none", ["witness", "-n", "1", "-m", "3", "--json", "1;3;1"], 1),
+    ("witness_none_n3_m5", ["witness", "-n", "3", "-m", "5", "--json", "19,15,14;20,15,11;11,3,3;19,13,3;13,4,1"], 1),
     ("crosscheck_n1_m3", ["crosscheck", "-n", "1", "-m", "3", "--bound", "2", "--json"], 0),
 ]
 

@@ -37,12 +37,25 @@ def test_witness_trivial_tuple():
     assert chain is not None and chain.mus == ((), (), (), ())
 
 
+def _admits_sizes(lams) -> bool:
+    """Whether some |mu(0)| makes every |mu(i)| = |lam(i)| - |mu(i-1)| nonnegative."""
+    for size in range(sum(lams[0]) + 1):
+        sizes = [size]
+        for lam in lams:
+            sizes.append(sum(lam) - sizes[-1])
+        if min(sizes) >= 0:
+            return True
+    return False
+
+
 def test_witness_chains_are_valid():
     grid = list(partitions_in_box(2, 2))
     found = 0
     for lams in product(grid, repeat=3):
         out = witness_search(lams, 2)
-        assert out.explored >= 1
+        assert out.explored <= witness_search_unfiltered(lams, 2).explored
+        if not _admits_sizes(lams):
+            assert out.explored == 0 and out.chain is None
         if out.chain is not None:
             found += 1
             assert chain_is_valid(out.chain, lams)
@@ -100,6 +113,16 @@ def test_witness_search_cost_pins():
     # 635,376 candidates for mu(0); the keys are walked lazily from the least
     out = witness_search([(60, 60, 60, 60), (60, 60, 60, 60), ()], 4)
     assert out.chain.mus == ((), (60, 60, 60, 60), (), ()) and out.explored == 3
+    # the size window of |mu(0)|: 6,268, 5,498, 2,208 and 6,295 states without it
+    out = witness_search([(30, 26, 12), (27, 18, 11), (29, 26, 17), (20, 7)], 3)
+    assert out.chain.mus == ((23, 22, 12), (7, 4), (20, 16, 9), (20, 7), ()) and out.explored == 6
+    out = witness_search([(30, 24, 22), (23, 22, 11), (29, 25, 17), (11, 5, 4)], 3)
+    assert out.chain.mus == ((25, 24, 22), (5,), (22, 18, 11), (11, 5, 4), ()) and out.explored == 4
+    out = witness_search([(19, 15, 14), (20, 15, 11), (11, 3, 3), (19, 13, 3), (13, 4, 1)], 3)
+    assert out.chain is None and out.explored == 0
+    out = witness_search([(95, 80, 70, 63), (38, 27, 21, 2), (38, 38, 30, 2), (35, 25, 16, 2), (34, 20, 13, 5)], 4)
+    assert out.chain.mus == ((63, 63, 62, 62), (32, 17, 8, 1), (14, 13, 3), (35, 25, 16, 2), (), (34, 20, 13, 5))
+    assert out.explored == 22
 
 
 def test_witness_rejects_bad_input():
