@@ -1,8 +1,12 @@
-"""Find a strictly interior tuple for each inequality system.
+"""Print the strictly interior staircase tuple of each inequality system.
 
-A strictly interior point violates no inequality and satisfies every one
-strictly; its existence shows the system is full-dimensional and that none
-of the inequalities is an implicit equality.
+For each n,m pair, interior_point(n, m) returns (rho,) * m with
+rho = (n, ..., 1), after checking that every inequality is strictly
+negative there; its existence shows the system is full-dimensional and
+that none of the inequalities is an implicit equality.  Each line gives the
+tuple, its largest (least negative) inequality value and the system size.
+
+    PYTHONPATH=src python scripts/find_interior_points.py [--pairs '9,3;2,5']
 """
 
 from __future__ import annotations
@@ -18,16 +22,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", default="1,3;2,3;1,5;2,5",
                         help="semicolon-separated n,m pairs")
-    parser.add_argument("--max-part", type=int, default=8)
     args = parser.parse_args()
 
     for chunk in args.pairs.split(";"):
         n, m = map(int, chunk.split(","))
-        point = interior_point(n, m, max_part=args.max_part)
+        point = interior_point(n, m)
         system = inequality_system(n, m)
         margins = [iq.value(point) for iq in system.inequalities]
-        assert all(v < 0 for v in margins)
-        rows = " ; ".join(format_partition(row) or "0" for row in point)
+        rows = " ; ".join(map(format_partition, point))
         print(f"n={n} m={m}: [{rows}]  (max margin {max(margins)}, "
               f"{len(system.inequalities)} inequalities)")
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, islice, product
+from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -349,23 +349,22 @@ def member_single_row(values, m: int | None = None) -> MembershipVerdict:
     return MembershipVerdict(True, None, note="all alternating windows hold")
 
 
-_INTERIOR_CANDIDATES = 200_000
+def interior_point(n: int, m: int):
+    """The staircase tuple (rho,) * m, rho = (n, ..., 1), strictly inside the cone.
 
-
-def interior_point(n: int, m: int, max_part: int = 8):
-    """A tuple of strictly decreasing positive rows strictly inside the cone.
-
-    Rows are searched in (size, lex) order and tuples in product order, so
-    the result is deterministic; every emitted inequality must evaluate
-    strictly negative.  Raises if none of the first 200,000 candidate tuples
-    is strictly inside.
+    Raises RuntimeError unless Inequality.value (no code shared with member_cone)
+    is negative on it for every row.  It always is: monotone and nonneg rows read
+    -1, trace rows -|rho|.  A horn row of a qualifying (I_1..I_L), r_t = |I_t|,
+    reads V = sum (-1)^t (r_t (n+1) - sum I_t).  The adjusted conjugates have sizes
+    sum I_t - r_t (r_t+1)/2, less (n - r_t)(r_t - r_(t-1) - r_(t+1)) at odd interior
+    t; gen_lr = 1 makes their alternating sum vanish, and with r_1 = r_2 and
+    r_(L-1) = r_L this leaves -2V = r_L (2n+1-r_L) + the sum over t = 3, 5, .., L-2
+    of 2 r_(t-1) (n-r_t) + d_t (d_t+1), d_t = r_t - r_(t+1).  No term is negative,
+    and all vanish only if r_L = 0 and then, downward, every r_t = 0: the all-empty
+    row, which inequality_system suppresses.  The identity for -2V was checked
+    against Inequality.value on every horn row with n*m <= 30.
     """
-    system = inequality_system(n, m)
-    rows = sorted(
-        (tuple(reversed(combo)) for combo in combinations(range(1, max_part + 1), n)),
-        key=lambda r: (sum(r), r),
-    )
-    for cand in islice(product(rows, repeat=m), _INTERIOR_CANDIDATES):
-        if all(iq.value(cand) < 0 for iq in system.inequalities):
-            return cand
-    raise RuntimeError(f"no strict interior point found for n={n}, m={m} with parts <= {max_part}")
+    point = (tuple(range(n, 0, -1)),) * m
+    if any(iq.value(point) >= 0 for iq in inequality_system(n, m).inequalities):
+        raise RuntimeError(f"the staircase tuple is not strictly interior for n={n}, m={m}")
+    return point

@@ -3,11 +3,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from kleinhorn import cli
+from kleinhorn import cli, cone
 from kleinhorn.cli import main
 from kleinhorn.oracle import WitnessChain, chain_is_valid
 
@@ -123,6 +124,9 @@ def test_ineqs_text(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("trace level=0:")
     assert lines[-1] == "# suppressed trivial: 1"
+    code, out, _ = run(capsys, "ineqs", "-n", "2", "-m", "3")
+    assert code == 0
+    assert "horn level=0 I=({1},{2},{2}): -l1_1 +l2_2 -l3_2 <= 0" in out.splitlines()
 
 
 def test_ineqs_json_matches_golden(capsys):
@@ -168,6 +172,9 @@ def test_decide_non_member_certificate(capsys):
     assert lines[0] == "not a member"
     assert lines[1].startswith("violated: trace") and "(value 1)" in lines[1]
     assert "no witness chain exists" in lines[2]
+    code, out, _ = run(capsys, "decide", "-n", "2", "-m", "3", ";1,1;2")
+    assert code == 1
+    assert out.splitlines()[1] == "violated: horn level=0 I=({1},{2},{2}): -l1_1 +l2_2 -l3_2 <= 0 (value 1)"
 
 
 def test_decide_even_m_witness(capsys):
@@ -295,6 +302,39 @@ def test_unexpected_exception_is_internal(capsys, monkeypatch):
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+def _flip_member_cone(monkeypatch):
+    real = cone.member_cone
+
+    def flipped(lams, n, m):
+        verdict = real(lams, n, m)
+        return replace(verdict, member=not verdict.member)
+
+    monkeypatch.setattr(cone, "member_cone", flipped)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_decide_route_disagreement_is_internal(capsys, monkeypatch, fmt):
+    _flip_member_cone(monkeypatch)
+    code, out, err = run(capsys, "decide", "-n", "1", "-m", "3", *fmt, "1;2;1")
+    assert code == 4 and out == ""
+    assert "internal disagreement" in err
+
+
+def test_crosscheck_reports_disagreements(capsys, monkeypatch):
+    _flip_member_cone(monkeypatch)
+    code, out, _ = run(capsys, "crosscheck", "-n", "1", "-m", "3", "--bound", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].endswith("disagreements=8")  # every one of the 2^3 tuples
+    assert lines[1] == "  disagree [inequality] on ';;': oracle=True other=False"
+    assert len(lines) == 9 and all(line.startswith("  disagree [inequality] on ") for line in lines[1:])
+    code, out, _ = run(capsys, "crosscheck", "-n", "1", "-m", "3", "--bound", "1", "--json")
+    assert code == 1
+    found = json.loads(out)["disagreements"]
+    assert len(found) == 8 and {d["route"] for d in found} == {"inequality"}
+    assert found[0] == {"types": [[], [], []], "oracle": True, "other": False, "route": "inequality"}
+
+
 def test_witness_text_and_json(capsys):
     code, out, _ = run(capsys, "witness", "-n", "1", "-m", "4", "3;3;1;2")
     assert code == 0 and out == "[];[3];[];[1];[1]\n"
@@ -305,6 +345,8 @@ def test_witness_text_and_json(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload == {"exists": False, "search_space": 0}
+    code, out, _ = run(capsys, "witness", "-n", "1", "-m", "3", "1;3;1")
+    assert code == 1 and out == "no witness chain exists (explored 0 states)\n"
 
 
 def test_witness_many_parts(capsys):

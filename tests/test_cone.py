@@ -254,6 +254,13 @@ def test_member_single_row_rejects_wide_rows():
         member_single_row([(1, 1), (1,), (1,)])
 
 
+def test_member_single_row_rejects_bad_lengths():
+    with pytest.raises(ValueError, match="expected 3 values, got 2"):
+        member_single_row([1, 2], 3)
+    with pytest.raises(ValueError, match="at least three"):
+        member_single_row([1, 2])
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_members_closed_under_sum_and_scaling(data):
@@ -270,8 +277,10 @@ def test_members_closed_under_sum_and_scaling(data):
 
 
 def test_interior_points_are_strict():
-    for n, m in [(1, 3), (2, 3), (1, 5), (2, 5)]:
+    # n = 9: a strictly decreasing row of nine parts has a part above 8
+    for n, m in [(1, 3), (2, 3), (1, 5), (2, 5), (9, 3)]:
         point = interior_point(n, m)
+        assert point == (tuple(range(n, 0, -1)),) * m
         system = inequality_system(n, m)
         assert all(iq.value(point) < 0 for iq in system.inequalities)
         for row in point:

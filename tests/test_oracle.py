@@ -83,6 +83,11 @@ def test_chain_is_valid_rejects_wrong_shapes():
     assert not chain_is_valid(chain, [(1,), (2,), (2,)])
 
 
+def test_chain_is_valid_rejects_zero_coefficient():
+    # the sizes telescope, but a row (2) does not fit in the column (1, 1)
+    assert not chain_is_valid(WitnessChain(((2,), (), ())), [(1, 1), ()])
+
+
 def test_chain_is_valid_rejects_non_partitions():
     # an entry that is not a partition makes the chain invalid, not an error
     lams = [(3,), (3,), (1,), (2,)]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from kleinhorn.partitions import (
     adjusted_conjugate,
+    check_subset,
     conjugate,
     contains,
     format_partition,
@@ -84,6 +85,8 @@ def test_partition_of_subset_rejects_bad_input():
         partition_of_subset((0, 1), 4)
     with pytest.raises(ValueError):
         partition_of_subset((5,), 4)
+    with pytest.raises(ValueError, match="integers"):
+        check_subset((1.5,), 2)
 
 
 @pytest.mark.parametrize("bad", [(0,), (4,), (2, 2), (3, 1)])

@@ -10,12 +10,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_crosscheck(*argv):
+def run_script(name, *argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_crosscheck.py"), *argv],
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_crosscheck(*argv):
+    return run_script("run_crosscheck.py", *argv)
 
 
 def test_run_crosscheck_default_grid():
@@ -51,3 +55,21 @@ def test_run_crosscheck_unsupported_case_exits_3():
         "error: no finite description to compare against for n=2, m=4; "
         "only the witness search covers this case\n"
     )
+
+
+def test_find_interior_points_default_pairs():
+    proc = run_script("find_interior_points.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "n=1 m=3: [1 ; 1 ; 1]  (max margin -1, 4 inequalities)\n"
+        "n=2 m=3: [2,1 ; 2,1 ; 2,1]  (max margin -1, 10 inequalities)\n"
+        "n=1 m=5: [1 ; 1 ; 1 ; 1 ; 1]  (max margin -1, 10 inequalities)\n"
+        "n=2 m=5: [2,1 ; 2,1 ; 2,1 ; 2,1 ; 2,1]  (max margin -1, 42 inequalities)\n"
+    )
+
+
+def test_find_interior_points_n9():
+    proc = run_script("find_interior_points.py", "--pairs", "9,3")
+    assert proc.returncode == 0, proc.stderr
+    row = "9,8,7,6,5,4,3,2,1"
+    assert proc.stdout == f"n=9 m=3: [{row} ; {row} ; {row}]  (max margin -1, 37182 inequalities)\n"

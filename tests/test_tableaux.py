@@ -103,6 +103,8 @@ def test_kostka_frozen_values():
     assert kostka_number((2, 1), (2, 1)) == 1
     assert kostka_number((), ()) == 1
     assert kostka_number((2,), (1, 0, 1)) == 1
+    assert kostka_number((2, 1), (1, 1)) == 0  # sizes differ
+    assert kostka_number((1,), (1, 1)) == 0
 
 
 def test_kostka_against_direct_ssyt_enumeration():
