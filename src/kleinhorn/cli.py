@@ -54,9 +54,7 @@ def _chain_text(mus) -> str:
 
 
 def _cmd_lr(args) -> int:
-    left = parse_partition(args.mu)
-    right = parse_partition(args.nu)
-    outer = parse_partition(args.lam)
+    outer, left, right = map(parse_partition, (args.lam, args.mu, args.nu))
     print(lr_coefficient(outer, left, right))
     return OK
 
@@ -100,8 +98,6 @@ def _cmd_ineqs(args) -> int:
 
 def _cmd_decide(args) -> int:
     ints, scale = _parse_rows(args.types, args.n, args.m)
-    if args.m < 3:
-        return _fail("need m >= 3", USAGE)
 
     ineq_verdict = route = None
     oracle_member = outcome = None
@@ -209,75 +205,58 @@ def _cmd_crosscheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("-n", type=int, required=True)
+    sized.add_argument("-m", type=int, required=True)
+    sized.add_argument("--json", action="store_true")
+
     p = argparse.ArgumentParser(
         prog="kleinhorn",
         description="Existence of long exact sequences of finite abelian p-group types.",
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    q = sub.add_parser("lr", help="Littlewood-Richardson coefficient of LAM against MU, NU")
+    def verb(name, handler, help, parents=(sized,)):
+        q = sub.add_parser(name, help=help, parents=parents)
+        q.set_defaults(handler=handler)
+        return q
+
+    q = verb("lr", _cmd_lr, "Littlewood-Richardson coefficient of LAM against MU, NU", parents=())
     q.add_argument("mu")
     q.add_argument("nu")
     q.add_argument("lam")
-
-    q = sub.add_parser("kostka", help="Kostka number of SHAPE with CONTENT")
+    q = verb("kostka", _cmd_kostka, "Kostka number of SHAPE with CONTENT", parents=())
     q.add_argument("shape")
     q.add_argument("content")
-
-    q = sub.add_parser("genlr", help="chained coefficient of m >= 3 partitions")
+    q = verb("genlr", _cmd_genlr, "chained coefficient of m >= 3 partitions", parents=())
     q.add_argument("partitions", nargs="+")
-
-    q = sub.add_parser("snm", help="qualifying subset tuples (odd m)")
-    q.add_argument("-n", type=int, required=True)
-    q.add_argument("-m", type=int, required=True)
-    q.add_argument("--json", action="store_true")
-
-    q = sub.add_parser("ineqs", help="full inequality system (odd m)")
-    q.add_argument("-n", type=int, required=True)
-    q.add_argument("-m", type=int, required=True)
-    q.add_argument("--json", action="store_true")
-
-    q = sub.add_parser("decide", help="membership of a tuple of rational types")
-    q.add_argument("-n", type=int, required=True)
-    q.add_argument("-m", type=int, required=True)
+    verb("snm", _cmd_snm, "qualifying subset tuples (odd m)")
+    verb("ineqs", _cmd_ineqs, "full inequality system (odd m)")
+    q = verb("decide", _cmd_decide, "membership of a tuple of rational types")
     q.add_argument("types", help="semicolon-separated rows, e.g. '3;3;1;2'")
     q.add_argument("--method", choices=("ineq", "oracle", "both"), default="both")
-    q.add_argument("--json", action="store_true")
-
-    q = sub.add_parser("witness", help="witness chain for a tuple of integer types")
-    q.add_argument("-n", type=int, required=True)
-    q.add_argument("-m", type=int, required=True)
+    q = verb("witness", _cmd_witness, "witness chain for a tuple of integer types")
     q.add_argument("types")
-    q.add_argument("--json", action="store_true")
-
-    q = sub.add_parser("crosscheck", help="oracle vs other routes on a full grid")
-    q.add_argument("-n", type=int, required=True)
-    q.add_argument("-m", type=int, required=True)
+    q = verb("crosscheck", _cmd_crosscheck, "oracle vs other routes on a full grid")
     q.add_argument("--bound", type=int, required=True)
-    q.add_argument("--json", action="store_true")
     return p
 
 
-_HANDLERS = {
-    "lr": _cmd_lr,
-    "kostka": _cmd_kostka,
-    "genlr": _cmd_genlr,
-    "snm": _cmd_snm,
-    "ineqs": _cmd_ineqs,
-    "decide": _cmd_decide,
-    "witness": _cmd_witness,
-    "crosscheck": _cmd_crosscheck,
-}
+_parser = None  # built by the first main call, not at import
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on usage errors, 0 on --help
         return int(e.code or 0)
+    if "m" in args and args.m < 3:  # no route covers it
+        return _fail(f"need m >= 3, got {args.m}", USAGE)
     try:
-        return _HANDLERS[args.cmd](args)
+        return args.handler(args)
     except cone.UnsupportedLengthError as e:
         return _fail(str(e), UNSUPPORTED)
     except ValueError as e:

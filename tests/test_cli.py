@@ -253,7 +253,7 @@ def test_trailing_zeros_are_not_parts(capsys, verb):
     assert code == 0
 
 
-# n < 1 and a negative grid bound are usage errors whichever route would run
+# n < 1, m < 3 and a negative grid bound are usage errors whichever route would run
 BAD_SIZE_CASES = [
     pytest.param(("decide", "-n", "0", "-m", "3", ";;"), "need n >= 1, got 0", id="decide-n0"),
     pytest.param(
@@ -271,6 +271,10 @@ BAD_SIZE_CASES = [
     pytest.param(("ineqs", "-n", "2", "-m", "2"), "need m >= 3, got 2", id="ineqs-m2"),
     pytest.param(("crosscheck", "-n", "2", "-m", "2", "--bound", "1"), "need m >= 3, got 2", id="crosscheck-m2"),
     pytest.param(("crosscheck", "-n", "1", "-m", "-1", "--bound", "2"), "need m >= 3, got -1", id="crosscheck-m-1"),
+    pytest.param(("decide", "-n", "2", "-m", "2", ";"), "need m >= 3, got 2", id="decide-m2"),
+    pytest.param(("decide", "-n", "2", "-m", "2", "--method", "ineq", ";"), "need m >= 3, got 2", id="ineq-m2"),
+    pytest.param(("witness", "-n", "1", "-m", "2", "1;1"), "need m >= 3, got 2", id="witness-m2"),
+    pytest.param(("witness", "-n", "1", "-m", "0", ""), "need m >= 3, got 0", id="witness-m0"),
 ]
 
 
@@ -293,10 +297,10 @@ def test_decide_large_single_part(capsys):
 
 
 def test_unexpected_exception_is_internal(capsys, monkeypatch):
-    def crash(args):
+    def crash(*partitions):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "lr", crash)
+    monkeypatch.setattr(cli, "lr_coefficient", crash)
     code, out, err = run(capsys, "lr", "1", "1", "2")
     assert code == 4 and out == ""
     assert err == "error: internal: RuntimeError: boom\n"
@@ -434,7 +438,7 @@ def test_crosscheck_text(capsys):
     assert "disagreements=0" in out
 
 
-def test_crosscheck_json_and_threads(capsys):
+def test_crosscheck_json(capsys):
     code, out, _ = run(capsys, "crosscheck", "-n", "2", "-m", "3", "--bound", "1", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -466,6 +470,23 @@ def test_help_and_usage_exit_codes(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "decide", "-n", "1")[0] == 2
+    # -n, -m and --json come from one parent parser, attached to exactly these verbs
+    sized = {"snm", "ineqs", "decide", "witness", "crosscheck"}
+    for verb in ("lr", "kostka", "genlr", *sized):
+        code, out, _ = run(capsys, verb, "--help")
+        assert code == 0
+        words = {word.strip("[],") for word in out.split()}
+        assert {option in words for option in ("-n", "-m", "--json")} == {verb in sized}, verb
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    assert run(capsys, "lr", "1", "1", "2")[:2] == (0, "1\n")
+
+    def rebuild():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    assert run(capsys, "witness", "-n", "1", "-m", "4", "3;3;1;2")[:2] == (0, "[];[3];[];[1];[1]\n")
 
 
 # Each golden under tests/golden/cli_<name>.json is the exact stdout of the
