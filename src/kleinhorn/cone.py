@@ -25,7 +25,7 @@ from .partitions import (
     subsets_of_range,
     to_json,
 )
-from .tableaux import gen_lr
+from .tableaux import _chain_count
 
 
 class UnsupportedLengthError(ValueError):
@@ -136,7 +136,8 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     weight sum(I_m) - r(r + 1)/2.  A last row of any other size makes gen_lr
     zero, so the bucket holds exactly the I_m that pass the size screens.
     Both buckets keep subsets_of_range order.  Only full tuples that pass
-    every screen reach gen_lr.
+    every screen reach the chain count, which takes the normalized rows as
+    they are, without gen_lr's checks.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -190,7 +191,7 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 stack.append(iter(by_size_weight.get((len(s), need[k]), ())))
             elif k < m - 2:
                 stack.append(iter(subsets))
-            elif any(len(t) < n for t in sets) and gen_lr(rows) == 1:
+            elif any(len(t) < n for t in sets) and _chain_count(rows) == 1:
                 found.append(tuple(sets))
     return tuple(found)
 

@@ -3,7 +3,11 @@
 Everything here is integer counting — no symmetric-function algebra, no
 floats.  One walk lists every lattice filling of a skew shape once, bucketed
 by content; every Littlewood-Richardson coefficient is read from that list,
-which is the only memo.  Partitions are canonical tuples.
+which is the only memo.  The walk chooses how many of each letter a row
+holds, not the letter of each cell: column strictness, the lattice word and
+the letter range of a row are conditions on those counts (see
+lr_complements), so its depth is rows times letters and a part of any size
+costs what a short one does.  Partitions are canonical tuples.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def _strip_extensions(mu: Partition, size: int, bound: Partition) -> list[Partit
     Rows are chosen top to bottom, each length in increasing order, with an
     explicit stack of candidate ranges, so results come out in lexicographic
     order.  A horizontal strip keeps tau_i <= mu_(i-1), so rows below the
-    first empty row of mu stay empty and are not searched.
+    first empty row of mu stay empty and are not searched, and the last row
+    searched takes what is left of the strip.
     """
     rows = min(len(bound), len(mu) + 1)
     if rows == 0:
@@ -64,8 +69,15 @@ def _strip_extensions(mu: Partition, size: int, bound: Partition) -> list[Partit
     mup = mu + (0,) * (rows - len(mu))
     out: list[Partition] = []
     acc = [0] * rows  # acc[i]: the chosen length of row i
+
+    def lengths(i: int, left: int):
+        """Lengths of row i when rows i and below still hold left strip cells."""
+        lo = mup[i]
+        hi = min(bound[i], lo + left, mup[i - 1] if i else lo + left)
+        return iter(range(lo + left if i == rows - 1 else lo, hi + 1))
+
     rem = [size] * rows  # rem[i]: strip cells still to place in rows i and below
-    stack = [iter(range(mup[0], min(bound[0], mup[0] + size) + 1))]
+    stack = [lengths(0, size)]
     while stack:
         i = len(stack) - 1
         v = next(stack[-1], None)
@@ -73,12 +85,10 @@ def _strip_extensions(mu: Partition, size: int, bound: Partition) -> list[Partit
             stack.pop()
             continue
         acc[i] = v
-        left = rem[i] - (v - mup[i])
         if i + 1 < rows:
-            rem[i + 1] = left
-            lo = mup[i + 1]
-            stack.append(iter(range(lo, min(bound[i + 1], mup[i], lo + left) + 1)))
-        elif left == 0:
+            rem[i + 1] = rem[i] - (v - mup[i])
+            stack.append(lengths(i + 1, rem[i + 1]))
+        else:
             t = tuple(acc)
             while t and t[-1] == 0:
                 t = t[:-1]
@@ -91,10 +101,49 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
     """Every right factor with nonzero coefficient against outer and left.
 
     Returns (partition, coefficient) pairs in lexicographic partition order;
-    the list is complete: anything absent has coefficient zero.  The cells of
-    outer/left are filled in reading-word order (top row first, right to
-    left), row r (0-based) with letters at most r + 1, keeping columns strict
-    and the word lattice; each complete filling counts once under its content.
+    the list is complete: anything absent has coefficient zero.
+
+    A filling with weakly increasing rows is fixed by its letter counts per
+    row: c[r][v] letters v in row r (0-based).  Write
+    P_r(v) = left_r + sum_(u <= v) c[r][u] for the position in row r after its
+    letters <= v, with P_r(0) = left_r, and T_r(v) = sum_(s <= r) c[s][v] for
+    the letters v in rows 0..r, with T_(-1) = 0.
+
+    (a) Columns strictly increase iff P_r(v) <= P_(r-1)(v-1) for r >= 1 and
+        v >= 1: the cells of row r left of P_r(v) hold letters <= v, and the
+        cell above each must lie in left or hold a letter <= v - 1, that is,
+        lie left of P_(r-1)(v-1).
+    (b) The reverse reading word is a lattice word iff
+        T_r(v) <= T_(r-1)(v-1) for v >= 2: row r is read right to left, so
+        the count of v gains on that of v - 1 only while row r's letters v
+        are read, after its larger letters and before its letters v - 1; it
+        peaks after the last of them, where the counts are T_r(v) and
+        T_(r-1)(v-1).
+    (c) Row r holds letters from v0 to h = top + 1, where top <= r is the
+        largest letter of rows 0..r-1: by (b), T_r(top + 2) <= T_(r-1)(top + 1)
+        = 0.  Its first cell, at column left_r, needs P_(r-1)(v - 1) > left_r
+        by (a), and P_(r-1) grows with v, so no letter below
+        v0 = min{v : P_(r-1)(v - 1) > left_r} fits anywhere in the row.  For
+        r = 0, or if left_r < left_(r-1), v0 = 1; otherwise v0 = f + 1, where
+        f is the first letter row r - 1 holds.  An empty row holds letter h
+        zero times.
+    (d) Letter h takes what is left: P_r(h) = outer_r.
+    (e) After P_r(v), the cells take letters v + 1..h, and by (b) letter u
+        takes at most T_(r-1)(u-1) - T_(r-1)(u); the caps telescope to
+        T_(r-1)(v) - T_(r-1)(h), so P_r(v) >= outer_r - T_(r-1)(v) + T_(r-1)(h).
+        At v = h - 1 this is (b) for letter h.
+
+    The walk chooses P_r(v) for each row r and each letter v from v0 to
+    h - 1, within the bounds (a), (b) and (e), on an explicit stack of one
+    range per open (row, letter); letter h then takes the rest, so a row with
+    v0 = h is entered without a choice, after checking (a) and (b) at h.
+    Letters outside v0..h keep (a) and (b) already, as left_r <= left_(r-1)
+    and T_(r-1) is zero past top, so each complete set of choices is one
+    lattice filling, counted once under its content T(1), ..., T(top).
+    Entering a row logs what it adds to the counts, and each open letter
+    rolls the log back before its next choice.  A row keeps positions only
+    for its letters v0..h, so the depth is at most rows times letters, and
+    no step's cost grows with the part sizes.
     """
     outer = normalize(outer)
     left = normalize(left)
@@ -102,37 +151,95 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
         return ()
     rows = len(outer)
     inn = left + (0,) * (rows - len(left))
-    cells = [(r, c) for r in range(rows) for c in range(outer[r] - 1, inn[r] - 1, -1)]
-    fill = [[0] * width for width in outer]
-    placed = [0] * (rows + 1)  # placed[v]: letters v written so far
+    placed = [0] * (rows + 2)  # placed[v]: letters v written so far
+    top = [0] * (rows + 1)  # top[r]: the largest letter of rows 0..r-1
+    first = [1] * rows  # first[r]: v0 of row r
+    pos = [[]] * rows  # pos[r][k]: P_r(first[r] - 1 + k); the last entry is outer_r
+    tail = [0] * rows  # tail[r]: T_(r-1)(h) for the last letter h of row r
     counts: dict[Partition, int] = defaultdict(int)
-    idx = 0
-    while idx >= 0:
-        if idx == len(cells):
-            # a lattice word's content is a partition: zeros only trail
-            counts[tuple(k for k in placed[1:] if k)] += 1
-            idx -= 1
+    log = []  # (letter, count) added to placed on entering a row
+    stack = []  # per open letter v < h: (positions, row, k, v, h, len(log) when opened)
+    r, k = 0, -1  # open letter k of row r; k = -1 enters row r, k = -2 resumes the stack
+    while True:
+        while k == -1:
+            if r == rows:
+                # a lattice word's content is a partition: letters 1..top all occur
+                counts[tuple(placed[1 : top[r] + 1])] += 1
+                k = -2
+                break
+            lam, mu = outer[r], inn[r]
+            h = top[r] + 1
+            if lam == mu:
+                v0 = h
+            elif r == 0 or mu < inn[r - 1]:
+                v0 = 1
+            else:
+                above = pos[r - 1]
+                j = 1
+                while above[j] <= mu:
+                    j += 1
+                v0 = first[r - 1] + j
+            if r and lam > pos[r - 1][max(0, h - first[r - 1])]:
+                k = -2  # (a) at letter h
+                break
+            first[r] = v0
+            tail[r] = placed[h]
+            placed[h] += lam - mu  # (d): letter h holds every cell the others leave
+            log.append((h, lam - mu))
+            if v0 < h:
+                pos[r] = [mu] * (h - v0 + 1) + [lam]
+                k = 0
+            elif h > 1 and placed[h] > placed[h - 1]:
+                k = -2  # (b) at letter h
+            else:
+                pos[r] = [mu, lam]
+                top[r + 1] = h if lam > mu else h - 1
+                r += 1
+        if k >= 0:
+            row = pos[r]
+            v = first[r] + k
+            p = row[k]
+            tv = placed[v]
+            lo = outer[r] - tv + tail[r]  # (e)
+            if lo < p:
+                lo = p
+            j = v - first[r - 1]
+            hi = pos[r - 1][j if j > 0 else 0]  # (a)
+            if hi > outer[r]:
+                hi = outer[r]
+            if v > 1:
+                # (b): p plus T_(r-1)(v - 1) - T_(r-1)(v), where T_(r-1)(v - 1)
+                # is placed[v - 1] less the p - row[k - 1] letters v - 1 of row r
+                most = placed[v - 1] - tv + (row[k - 1] if k else p)
+                if most < hi:
+                    hi = most
+            row[k + 1] = p
+            stack.append((iter(range(lo, hi + 1)), r, k, v, first[r] + len(row) - 2, len(log)))
+        if not stack:
+            break
+        it, r, k, v, h, mark = stack[-1]
+        while len(log) > mark:
+            u, c = log.pop()
+            placed[u] -= c
+        row = pos[r]
+        p = next(it, None)
+        if p is None:
+            d = row[k + 1] - row[k]
+            placed[v] -= d
+            placed[h] += d
+            stack.pop()
+            k = -2
             continue
-        r, c = cells[idx]
-        v = fill[r][c]
-        if v:
-            placed[v] -= 1  # take back the letter tried last, then try the next one
+        d = p - row[k + 1]
+        placed[v] += d
+        placed[h] -= d
+        row[k + 1] = p
+        if k + 3 < len(row):
+            k += 1
         else:
-            # the cell above is in the shape iff it sits right of the inner row
-            v = fill[r - 1][c] if r > 0 and c >= inn[r - 1] else 0
-        hi = fill[r][c + 1] if c + 1 < outer[r] else r + 1
-        v += 1
-        while v <= hi and v > 1 and placed[v] >= placed[v - 1]:
-            # the lattice prefix would break; with no letter v - 1 placed yet,
-            # it breaks for every larger letter too
-            v = v + 1 if placed[v - 1] else hi + 1
-        if v <= hi:
-            fill[r][c] = v
-            placed[v] += 1
-            idx += 1
-        else:
-            fill[r][c] = 0
-            idx -= 1
+            top[r + 1] = h if outer[r] > p else h - 1
+            r += 1
+            k = -1
     return tuple(sorted(counts.items()))
 
 
@@ -144,14 +251,20 @@ def gen_lr(lams) -> int:
     coefficient of the middle partition against the outer two.  The chain
     enforces the alternating size relation itself: a prefix that outgrows the
     next partition has no complement, and a last partition of the wrong size
-    is never reached, so either gives zero.
+    is never reached, so either gives zero.  Each entry is checked and made
+    canonical here; _chain_count does the counting.
     """
     lams = tuple(normalize(l) for l in lams)
     m = len(lams)
     if m < 3:
         raise ValueError(f"need at least three partitions, got {m}")
+    return _chain_count(lams)
+
+
+def _chain_count(lams) -> int:
+    """gen_lr of a sequence of at least three canonical partitions, unchecked."""
     state: dict[Partition, int] = {lams[0]: 1}
-    for i in range(1, m - 1):
+    for i in range(1, len(lams) - 1):
         nxt: dict[Partition, int] = defaultdict(int)
         for prev, w in state.items():
             for nu, c in lr_complements(lams[i], prev):

@@ -17,7 +17,14 @@ from itertools import product
 
 from kleinhorn.cone import MembershipVerdict, inequality_system
 from kleinhorn.oracle import SearchOutcome, WitnessChain
-from kleinhorn.partitions import adjusted_conjugate, is_partition, normalize, subpartitions, subsets_of_range
+from kleinhorn.partitions import (
+    adjusted_conjugate,
+    contains,
+    is_partition,
+    normalize,
+    subpartitions,
+    subsets_of_range,
+)
 from kleinhorn.tableaux import gen_lr, lr_coefficient, lr_complements
 
 
@@ -107,6 +114,54 @@ def lr_fillings_by_content(outer, inner, cap_by_row: bool = True) -> Counter:
 
     fill(0)
     return found
+
+
+def lr_complements_by_cells(outer, left):
+    """lr_complements walked cell by cell: the same sorted (partition, coefficient) pairs.
+
+    The cells of outer/left are filled in reading-word order (top row first,
+    right to left), row r (0-based) with letters at most r + 1, keeping
+    columns strict and the word lattice; each complete filling counts once
+    under its content.  Its cost grows with the number of cells.
+    """
+    outer = normalize(outer)
+    left = normalize(left)
+    if not contains(outer, left):
+        return ()
+    rows = len(outer)
+    inn = left + (0,) * (rows - len(left))
+    cells = [(r, c) for r in range(rows) for c in range(outer[r] - 1, inn[r] - 1, -1)]
+    fill = [[0] * width for width in outer]
+    placed = [0] * (rows + 1)  # placed[v]: letters v written so far
+    counts = Counter()
+    idx = 0
+    while idx >= 0:
+        if idx == len(cells):
+            # a lattice word's content is a partition: zeros only trail
+            counts[tuple(k for k in placed[1:] if k)] += 1
+            idx -= 1
+            continue
+        r, c = cells[idx]
+        v = fill[r][c]
+        if v:
+            placed[v] -= 1  # take back the letter tried last, then try the next one
+        else:
+            # the cell above is in the shape iff it sits right of the inner row
+            v = fill[r - 1][c] if r > 0 and c >= inn[r - 1] else 0
+        hi = fill[r][c + 1] if c + 1 < outer[r] else r + 1
+        v += 1
+        while v <= hi and v > 1 and placed[v] >= placed[v - 1]:
+            # the lattice prefix would break; with no letter v - 1 placed yet,
+            # it breaks for every larger letter too
+            v = v + 1 if placed[v - 1] else hi + 1
+        if v <= hi:
+            fill[r][c] = v
+            placed[v] += 1
+            idx += 1
+        else:
+            fill[r][c] = 0
+            idx -= 1
+    return tuple(sorted(counts.items()))
 
 
 def partitions_of(total: int, max_part: int | None = None):

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -294,6 +298,21 @@ def test_decide_large_single_part(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["member"] is True and payload["witness"] == [[], [1500], [], []]
+
+
+def test_decide_huge_part_within_memory_limit():
+    # 10^20-cell rows: the LR listing's cost and memory follow letters per row, not cells
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    argv = ["decide", "-n", "1", "-m", "3", "1/99999999999999999999;1;1", "--method", "oracle", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kleinhorn.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"witness":[[],[1],[99999999999999999998],[1]]' in proc.stdout
 
 
 def test_unexpected_exception_is_internal(capsys, monkeypatch):

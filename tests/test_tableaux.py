@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import (
     dominates,
     gen_lr_nested_sum,
+    lr_complements_by_cells,
     lr_fillings_by_content,
     partitions_of,
     ssyt_count,
@@ -47,10 +48,36 @@ def test_lr_frozen_values():
 
 
 def test_lr_large_parts():
-    # one walk step per cell, no recursion: a 1500-cell row stays cheap
+    # one walk step per (row, letter), no recursion: long rows cost what short ones do
     assert lr_coefficient((1500,), (), (1500,)) == 1
     assert lr_coefficient((700, 600), (100,), (600, 600)) == 1
     assert lr_coefficient((700, 600), (100,), (1200,)) == 0
+    assert lr_coefficient((20000, 10000), (10000,), (10000, 10000)) == 1
+
+
+def _listing_cases():
+    # every pair in five boxes; columns 1^k/1^j and one of 1200 rows; rows (a)/(b)
+    # and, on a grid of step 3, (a, b)/(c) up to 60 (the 2 x 9 box has every such
+    # pair up to 9)
+    for box in [(4, 5), (5, 4), (3, 6), (6, 3), (2, 9)]:
+        for lam in partitions_in_box(*box):
+            for mu in subpartitions(lam):
+                yield lam, mu
+    for k in range(41):
+        for j in range(k + 1):
+            yield (1,) * k, (1,) * j
+    yield (1,) * 1200, (1,)
+    for a in range(61):
+        for b in range(a + 1):
+            yield (a,), (b,)
+    for a, b, c in product(range(0, 61, 3), repeat=3):
+        if b <= a and c <= a:
+            yield (a, b), (c,)
+
+
+def test_lr_complements_match_cell_walk():
+    for outer, left in _listing_cases():
+        assert lr_complements(outer, left) == lr_complements_by_cells(outer, left), (outer, left)
 
 
 def test_lr_against_independent_enumeration():
@@ -105,6 +132,7 @@ def test_kostka_frozen_values():
     assert kostka_number((2,), (1, 0, 1)) == 1
     assert kostka_number((2, 1), (1, 1)) == 0  # sizes differ
     assert kostka_number((1,), (1, 1)) == 0
+    assert kostka_number((10**20,), (10**20,)) == 1  # the last row takes what is left
 
 
 def test_kostka_against_direct_ssyt_enumeration():
