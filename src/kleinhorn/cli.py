@@ -76,7 +76,7 @@ def _cmd_snm(args) -> int:
             "n": args.n,
             "m": args.m,
             "count": len(indices),
-            "tuples": [[list(s) for s in sets] for sets in indices],
+            "tuples": indices,
         }
         print(to_json(payload))
     else:
@@ -136,7 +136,7 @@ def _cmd_decide(args) -> int:
             payload["certificate"] = cert.to_json_dict() if cert else None
         if oracle_member is not None:
             payload["scale"] = scale
-            payload["witness"] = [list(mu) for mu in outcome.chain.mus] if outcome.chain else None
+            payload["witness"] = outcome.chain.mus if outcome.chain else None
             payload["explored"] = outcome.explored
         print(to_json(payload))
     else:
@@ -160,7 +160,7 @@ def _cmd_witness(args) -> int:
     outcome = witness_search(lams, args.n)
     if args.json:
         if outcome.chain is not None:
-            print(to_json({"exists": True, "chain": [list(mu) for mu in outcome.chain.mus]}))
+            print(to_json({"exists": True, "chain": outcome.chain.mus}))
         else:
             print(to_json({"exists": False, "search_space": outcome.explored}))
     else:
@@ -179,10 +179,10 @@ def _cmd_crosscheck(args) -> int:
             "m": report.m,
             "bound": report.bound,
             "total": report.total,
-            "routes": list(report.routes),
+            "routes": report.routes,
             "disagreements": [
                 {
-                    "types": [list(l) for l in d.lams],
+                    "types": d.lams,
                     "oracle": d.oracle,
                     "other": d.other,
                     "route": d.route,

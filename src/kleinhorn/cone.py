@@ -61,9 +61,9 @@ class Inequality:
         return {
             "origin": self.origin,
             "level": self.level,
-            "subsets": [list(s) for s in self.subsets] if self.subsets is not None else None,
-            "position": list(self.position) if self.position is not None else None,
-            "coeffs": [list(crow) for crow in self.coeffs],
+            "subsets": self.subsets,
+            "position": self.position,
+            "coeffs": self.coeffs,
         }
 
     def render(self) -> str:
@@ -196,24 +196,41 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(found)
 
 
-def _matrix(m: int, n: int, cells) -> tuple[tuple[int, ...], ...]:
-    """The m-by-n matrix with c at each 1-based (row, column, c) cell and 0 elsewhere."""
+def _matrix(m: int, n: int, cells, rows: dict) -> tuple[tuple[int, ...], ...]:
+    """The m-by-n matrix with c at each 1-based (row, column, c) cell and 0 elsewhere.
+
+    rows maps each coefficient row to itself, so equal rows built through one
+    dict are one tuple.
+    """
     mat = [[0] * n for _ in range(m)]
     for i, j, c in cells:
         mat[i - 1][j - 1] = c
-    return tuple(map(tuple, mat))
+    return tuple(rows.setdefault(row, row) for row in map(tuple, mat))
 
 
-def _window_cells(level: int, sets):
-    """Cells of a window row: +1 on even and -1 on odd inner rows, at each subset's columns.
+def _window(m: int, n: int, level: int, sets, rows: dict) -> tuple[tuple[int, ...], ...]:
+    """The m-by-n window matrix: +1 on even and -1 on odd inner rows, at each subset's columns.
 
-    Inner row i is outer row i + level.  The trace row is the window of the
-    all-full tuple, the one tuple horn_index_set leaves out; the n = 1 alt
-    certificate is the window of one-column subsets.
+    Inner row i is outer row i + level; every other row is zero.  rows maps
+    each coefficient row to itself and each (subset, parity of i) to its row,
+    so a window row is built once per key and equal rows are one tuple.  The
+    trace row is the window of the all-full tuple, the one tuple
+    horn_index_set leaves out; the n = 1 alt certificate is the window of
+    one-column subsets.
     """
+    zero = (0,) * n
+    mat = [rows.setdefault(zero, zero)] * m
     for i, s in enumerate(sets, 1):
-        for j in s:
-            yield i + level, j, 1 if i % 2 == 0 else -1
+        key = (s, i % 2)
+        row = rows.get(key)
+        if row is None:
+            cells = [0] * n
+            for j in s:
+                cells[j - 1] = -1 if i % 2 else 1
+            row = tuple(cells)
+            row = rows[key] = rows.setdefault(row, row)
+        mat[i + level - 1] = row
+    return tuple(mat)
 
 
 @cache
@@ -222,29 +239,31 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
 
     Level k applies the length-(m - 2k) description to rows 1+k .. m-k; inner
     positions keep their own parity.  Identically-zero subset rows (from the
-    all-empty tuple) are suppressed and counted, never emitted.  horn_index_set
-    checks n and m before any row is built.
+    all-empty tuple) are suppressed and counted, never emitted.  Every
+    coefficient matrix is a tuple of rows shared across the system, so equal
+    rows are one object.  horn_index_set checks n and m before any row is built.
     """
     horn_index_set(n, m)
     full = tuple(range(1, n + 1))
+    rows: dict = {}
     ineqs: list[Inequality] = []
     suppressed = 0
     for level in range((m - 3) // 2 + 1):
         inner_len = m - 2 * level
-        trace = _matrix(m, n, _window_cells(level, (full,) * inner_len))
+        trace = _window(m, n, level, (full,) * inner_len, rows)
         ineqs.append(Inequality(trace, "trace", level=level))
         for sets in horn_index_set(n, inner_len):
             if not any(sets):
                 suppressed += 1
             else:
-                horn = _matrix(m, n, _window_cells(level, sets))
+                horn = _window(m, n, level, sets, rows)
                 ineqs.append(Inequality(horn, "horn", level=level, subsets=sets))
     for i in range(1, m + 1):
         for j in range(1, n):
             cells = ((i, j, -1), (i, j + 1, 1))
-            ineqs.append(Inequality(_matrix(m, n, cells), "monotone", position=(i, j)))
+            ineqs.append(Inequality(_matrix(m, n, cells, rows), "monotone", position=(i, j)))
     for i in range(1, m + 1):
-        ineqs.append(Inequality(_matrix(m, n, ((i, n, -1),)), "nonneg", position=(i,)))
+        ineqs.append(Inequality(_matrix(m, n, ((i, n, -1),), rows), "nonneg", position=(i,)))
     return InequalitySystem(n, m, tuple(ineqs), suppressed)
 
 
@@ -343,7 +362,7 @@ def member_single_row(values, m: int | None = None) -> MembershipVerdict:
         for j in range(i, m + 1):
             acc += sign * vals[j - 1]
             if (j - i) % 2 == 0 and acc < 0:
-                window = _matrix(m, 1, _window_cells(i - 1, ((1,),) * (j - i + 1)))
+                window = _window(m, 1, i - 1, ((1,),) * (j - i + 1), {})
                 cert = Inequality(window, "alt", position=(i, j))
                 return MembershipVerdict(False, cert, note=f"window ({i},{j})")
             sign = -sign

@@ -220,5 +220,10 @@ def format_subset(s) -> str:
 
 
 def to_json(d: dict) -> str:
-    """Stable byte-for-byte serialization: fixed key order, no whitespace."""
-    return json.dumps(d, separators=(",", ":"))
+    """Stable byte-for-byte serialization: fixed key order, no whitespace.
+
+    Tuples and lists are both written as arrays.  Every payload is a tree the
+    caller builds, so the encoder's cycle check is off; rows shared between
+    inequalities are written once per use.
+    """
+    return json.dumps(d, separators=(",", ":"), check_circular=False)

@@ -12,6 +12,7 @@ costs what a short one does.  Partitions are canonical tuples.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from functools import cache
 
@@ -24,10 +25,13 @@ def lr_coefficient(outer: Partition, left: Partition, right: Partition) -> int:
     The number of fillings of the skew diagram outer/left with content right
     whose rows weakly increase, columns strictly increase, and whose reverse
     reading word (right to left along rows, top row first) is a lattice
-    word, read from the lr_complements listing.  Zero unless left and right
-    fit inside outer and sizes add up.
+    word, found by bisection in the sorted lr_complements listing.  Zero
+    unless left and right fit inside outer and sizes add up.
     """
-    return dict(lr_complements(outer, left)).get(normalize(right), 0)
+    listing = lr_complements(outer, left)
+    right = normalize(right)
+    i = bisect_left(listing, (right,))
+    return listing[i][1] if i < len(listing) and listing[i][0] == right else 0
 
 
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:

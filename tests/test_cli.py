@@ -141,15 +141,18 @@ def test_ineqs_json_matches_golden(capsys):
 
 
 # sha256 of the exact stdout; the (4,5) and (2,9) digests are also the ones
-# perfbench/reference.json records for the index-build workload
+# perfbench/reference.json records for the index-build workload; (1,9) and
+# (5,5) were recorded while each row was still built as its own list
 @pytest.mark.parametrize(
     "n,m,digest",
     [
+        (1, 9, "d1e63f8460b90bf69c4828c647a8000fc429c162f6503c125bc602267ccfa619"),
         (4, 5, "51af8db3552c20844b9727c55a036858d3c47b7e074e8adbb75a220861e748f1"),
+        (5, 5, "6b6d5c3fb1754fb42636ed3f4a0bac2e767bfc026ed3dff6c7cd5d70e96558e2"),
         (3, 7, "f24e780006fed9d495da61bf011a1752574f4b31bef71afa044af059b208635d"),
         (2, 9, "4be806af91f13a85e4be386d7a80ddf3fc870f99760dcfb0ecd7614a7d1c84e7"),
     ],
-    ids=["n4-m5", "n3-m7", "n2-m9"],
+    ids=["n1-m9", "n4-m5", "n5-m5", "n3-m7", "n2-m9"],
 )
 def test_ineqs_json_digest_larger_shapes(capsys, n, m, digest):
     code, out, _ = run(capsys, "ineqs", "-n", str(n), "-m", str(m), "--json")
@@ -313,6 +316,21 @@ def test_decide_huge_part_within_memory_limit():
     )
     assert proc.returncode == 0, proc.stderr
     assert '"witness":[[],[1],[99999999999999999998],[1]]' in proc.stdout
+
+
+def test_ineqs_large_system_within_memory_limit():
+    # 51,074 inequalities from shared coefficient rows, written as tuples
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (120 * 2**20, 120 * 2**20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "kleinhorn.cli", "ineqs", "-n", "3", "-m", "9", "--json"],
+        capture_output=True, timeout=120, preexec_fn=limit_memory,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = "6caeec19d58b04f04f0a8cef1d49a8b386a5ea2b0634fd075f5643438dc421ee"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_unexpected_exception_is_internal(capsys, monkeypatch):

@@ -137,6 +137,12 @@ def test_system_levels_nest():
             assert got.coeffs == ((0,) * n,) + src.coeffs + ((0,) * n,)
 
 
+@pytest.mark.parametrize("n,m", [(1, 9), (4, 5), (2, 9)])
+def test_equal_coefficient_rows_are_one_object(n, m):
+    rows = [row for iq in inequality_system(n, m).inequalities for row in iq.coeffs]
+    assert len({id(r) for r in rows}) == len(set(rows))
+
+
 def test_inequality_system_rejects_even_m():
     with pytest.raises(UnsupportedLengthError):
         inequality_system(1, 4)

@@ -80,6 +80,16 @@ def test_lr_complements_match_cell_walk():
         assert lr_complements(outer, left) == lr_complements_by_cells(outer, left), (outer, left)
 
 
+def test_lr_coefficient_matches_dict_reading():
+    # every triple of the 3 x 4 box, and right factors with trailing zeros
+    grid = list(partitions_in_box(3, 4))
+    for outer, left in product(grid, repeat=2):
+        listed = dict(lr_complements(outer, left))
+        for right in grid:
+            assert lr_coefficient(outer, left, right) == listed.get(right, 0), (outer, left, right)
+            assert lr_coefficient(outer, left, right + (0,)) == listed.get(right, 0), (outer, left, right)
+
+
 def test_lr_against_independent_enumeration():
     # bucket every lattice filling by content and compare coefficient by coefficient
     for lam in _all_partitions_up_to(6):
