@@ -121,23 +121,46 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     cardinalities, every adjusted conjugate is a partition, and their chained
     coefficient is exactly one.  Results are cached per (n, m).
 
-    The tuples are built by a depth-first search over positions 1..m with an
-    explicit stack, trying subsets in subsets_of_range order at each position,
-    so they come out in product order.  Row i depends only on I_i, except at
-    odd interior positions, where its shift also needs I_(i-1) and I_(i+1);
-    each row is fixed at the first depth that determines it, and each
-    (I_i, shift) row is built once per call.  A prefix is dropped as soon as a
-    row is not a partition or the alternating size that gen_lr forces on the
-    next chain step goes negative.  I_2 is drawn only from the subsets of size
-    |I_1|.  I_m is drawn only from the subsets of size |I_(m-1)| and weight
-    need, the size gen_lr forces on the last row: that row is an unshifted
-    end row, the padded conjugate of the partition (z_r - r, ..., z_1 - 1) of
-    I_m = {z_1 < ... < z_r}, so it is always a partition and its size is the
-    weight sum(I_m) - r(r + 1)/2.  A last row of any other size makes gen_lr
-    zero, so the bucket holds exactly the I_m that pass the size screens.
-    Both buckets keep subsets_of_range order.  Only full tuples that pass
-    every screen reach the chain count, which takes the normalized rows as
-    they are, without gen_lr's checks.
+    Positions are 0-based here and c = (m - 1)/2 is the centre.  Row i of a
+    tuple I is the adjusted conjugate of I_i; it is shifted by
+    |I_i| - |I_(i-1)| - |I_(i+1)| at even interior i and unshifted elsewhere.
+    gen_lr forces the size need[i] = |row_i| - need[i-1] (need[-1] = 0) on
+    the chain step after row i, and a tuple passes the size screens when every
+    need[i] >= 0 and need[m-1] = 0.  The tuples are found from half-tuples
+    through the reversal rev(I) = (I_(m-1), ..., I_0):
+
+    * The set is closed under rev.  m - 1 is even, so position i of rev(I)
+      has the parity of m - 1 - i, and its neighbours are those of
+      I_(m-1-i), swapped; the shift is symmetric in them, so row i of rev(I)
+      is row m - 1 - i of I.  The chain count is symmetric under reversing
+      its rows, because c^lam_(mu nu) = c^lam_(nu mu), and the other
+      conditions are symmetric as stated.
+    * A half is a tuple (J_0, ..., J_c) with |J_0| = |J_1|, rows 0..c-1
+      partitions and need[0..c-1] >= 0.  Rows 0..c-1 need only J_0..J_c, so a
+      half is searched like a prefix, with an explicit stack, and each row is
+      fixed at the first depth that determines it.  Put
+      r[i] = |row_i| - r[i+1] (r[m] = 0), the sizes read from the right.  Since
+      need[i] - r[i+1] = (-1)^i (|row_0| - |row_1| + ... + |row_(m-1)|), the
+      size screens hold iff need[i] = r[i+1] for every i and every need[i] >= 0,
+      that is, iff need[0..c-1] >= 0, r[c+1..m-1] >= 0 and
+      need[c-1] + r[c+1] = |row_c|.  So I passes every screen iff its left
+      half L = (I_0, ..., I_c) and its right half R = (I_(m-1), ..., I_c) are
+      halves, the centre row (shifted by |I_c| - |L_(c-1)| - |R_(c-1)| when c
+      is even) is a partition, and a_L + a_R = |row_c| with a the need[c-1] of
+      each half.  The first screen of R is |I_(m-1)| = |I_(m-2)|, and the rows
+      of R are the rows of I from the right.
+    * I = L + R[-2::-1] is a bijection from the pairs (L, R) that pass the
+      join to the tuples that pass every screen, and rev(I) is the image of
+      (R, L).  The halves are grouped by J_c, then |J_(c-1)|, then a: the
+      first two fix the centre row for a pair of groups, and that row fixes
+      the a_R each a_L joins.  Only pairs with L <= R are counted: a unit
+      count gives I, and rev(I) too when L != R.  Since I = rev(I) iff L = R,
+      each qualifying tuple is listed once.
+
+    The all-full tuple is left out, and the result is sorted: subsets_of_range
+    lists subsets in tuple order, so tuple order is product order.  Each
+    (I_i, shift) row is built once per call, and the chain count takes the
+    normalized rows as they are, without gen_lr's checks.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -147,23 +170,31 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         raise UnsupportedLengthError(
             f"no inequality description for m = {m}; use the witness-chain oracle"
         )
+    c = (m - 1) // 2
     subsets = subsets_of_range(n)
     by_size: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    by_size_weight: dict[tuple[int, int], list[tuple[int, ...]]] = defaultdict(list)
     for s in subsets:
-        r = len(s)
-        by_size[r].append(s)
-        by_size_weight[r, sum(s) - r * (r + 1) // 2].append(s)
-    # fix_at[k]: the rows that I_(k+1) completes, in chain order
-    fix_at: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        fix_at[i + 1 if 0 < i < m - 1 and i % 2 == 0 else i].append(i)
+        by_size[len(s)].append(s)
     memo: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
-    sets: list[tuple[int, ...]] = [()] * m  # I_1..I_m, valid up to the current depth
-    rows: list[tuple[int, ...]] = [()] * m  # normalized adjusted conjugates, fixed so far
-    need = [0] * m  # need[i]: size gen_lr forces on the chain step after row i
-    found = []
-    stack = [iter(subsets)]  # stack[k] yields the remaining candidates for I_(k+1)
+
+    def row(sets, i: int, shift: int):
+        """Row i of sets, normalized, or None when it is not a partition."""
+        key = (sets[i], shift)
+        if key not in memo:
+            raw = adjusted_conjugate(sets, i + 1, n)
+            memo[key] = normalize(raw) if is_partition(raw) else None
+        return memo[key]
+
+    # fix_at[k]: the half rows that J_k completes, in chain order
+    fix_at: list[list[int]] = [[] for _ in range(c + 1)]
+    for i in range(c):
+        fix_at[i + 1 if i % 2 == 0 and i else i].append(i)
+    sets: list[tuple[int, ...]] = [()] * (c + 1)  # J_0..J_c, valid up to the current depth
+    rows: list[tuple[int, ...]] = [()] * c  # rows 0..c-1, fixed so far
+    need = [0] * c  # need[i]: size gen_lr forces on the chain step after row i
+    # groups[J_c][|J_(c-1)|][need[c-1]]: the halves, as (sets, rows)
+    groups: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
+    stack = [iter(subsets)]  # stack[k] yields the remaining candidates for J_k
     while stack:
         k = len(stack) - 1
         s = next(stack[-1], None)
@@ -173,26 +204,42 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         sets[k] = s
         for i in fix_at[k]:
             shift = len(sets[i]) - len(sets[i + 1]) - len(sets[i - 1]) if i < k else 0
-            key = (sets[i], shift)
-            if key not in memo:
-                row = adjusted_conjugate(sets, i + 1, n)
-                memo[key] = normalize(row) if is_partition(row) else None
-            row = memo[key]
-            if row is None:
+            rows[i] = row(sets, i, shift)
+            if rows[i] is None:
                 break
-            rows[i] = row
-            need[i] = sum(row) - (need[i - 1] if i else 0)
+            need[i] = sum(rows[i]) - (need[i - 1] if i else 0)
             if need[i] < 0:
                 break
         else:
             if k == 0:
                 stack.append(iter(by_size[len(s)]))
-            elif k == m - 2:
-                stack.append(iter(by_size_weight.get((len(s), need[k]), ())))
-            elif k < m - 2:
+            elif k < c:
                 stack.append(iter(subsets))
-            elif any(len(t) < n for t in sets) and _chain_count(rows) == 1:
-                found.append(tuple(sets))
+            else:
+                groups[s][len(sets[c - 1])][need[c - 1]].append((tuple(sets), tuple(rows)))
+    full = (tuple(range(1, n + 1)),) * (c + 1)
+    found = []
+    for centre, halves in groups.items():
+        for size_l, lefts_by_need in halves.items():
+            for size_r, rights_by_need in halves.items():
+                shift = len(centre) - size_l - size_r if c % 2 == 0 else 0
+                # any pair of the two groups fixes the centre row
+                some_left = next(iter(lefts_by_need.values()))[0][0]
+                some_right = next(iter(rights_by_need.values()))[0][0]
+                mid = row(some_left + some_right[-2::-1], c, shift)
+                if mid is None:
+                    continue
+                for a_l, lefts in lefts_by_need.items():
+                    rights = rights_by_need.get(sum(mid) - a_l, ())
+                    for left, left_rows in lefts:
+                        for right, right_rows in rights:
+                            if left > right or left == full == right:
+                                continue
+                            if _chain_count(left_rows + (mid,) + right_rows[::-1]) == 1:
+                                found.append(left + right[-2::-1])
+                                if left != right:
+                                    found.append(right + left[-2::-1])
+    found.sort()
     return tuple(found)
 
 

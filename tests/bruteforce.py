@@ -4,7 +4,8 @@ These deliberately take different routes from the production code: tableaux
 are enumerated cell by cell in forward reading order with a final lattice
 check, Kostka numbers come from direct semistandard fillings rather than
 strip peeling, and chained coefficients from explicit nested sums.  The Horn index set is
-the plain filter over every subset tuple, with every row rebuilt per tuple, and cone
+the plain filter over every subset tuple, with every row rebuilt per tuple, or a
+depth-first search over all m positions with one chain count per tuple, and cone
 membership evaluates each inequality's matrix with Inequality.value.  The
 witness search tries every subpartition of the first type as mu(0) and every
 listed complement as each later entry, with no filter.
@@ -12,7 +13,7 @@ listed complement as each later entry, with no filter.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
 
 from kleinhorn.cone import MembershipVerdict, inequality_system
@@ -25,7 +26,7 @@ from kleinhorn.partitions import (
     subpartitions,
     subsets_of_range,
 )
-from kleinhorn.tableaux import gen_lr, lr_coefficient, lr_complements
+from kleinhorn.tableaux import _chain_count, gen_lr, lr_coefficient, lr_complements
 
 
 def ssyt_count(shape, content) -> int:
@@ -263,6 +264,69 @@ def horn_index_set_by_filter(n: int, m: int):
         if all(is_partition(r) for r in rows) and gen_lr([normalize(r) for r in rows]) == 1:
             out.append(sets)
     return tuple(out)
+
+
+def horn_index_set_by_dfs(n: int, m: int):
+    """Qualifying subset tuples by a depth-first search over positions 1..m, in product order.
+
+    Subsets are tried in subsets_of_range order at each position, with an
+    explicit stack.  Each row is fixed at the first depth that determines it:
+    row i needs only I_i, except at odd interior positions, whose shift also
+    needs I_(i-1) and I_(i+1); each (I_i, shift) row is built once per call.
+    A prefix is dropped as soon as a row is not a partition or the size gen_lr
+    forces on the next chain step goes negative.  I_2 is drawn only from the
+    subsets of size |I_1|, and I_m only from the subsets of size |I_(m-1)|
+    whose weight sum(I_m) - r(r + 1)/2 (the size of the unshifted last row)
+    equals the size gen_lr forces there.  Every complete tuple that passes the
+    screens gets its own chain count.  Reaches shapes the filter cannot.
+    """
+    subsets = subsets_of_range(n)
+    by_size: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    by_size_weight: dict[tuple[int, int], list[tuple[int, ...]]] = defaultdict(list)
+    for s in subsets:
+        r = len(s)
+        by_size[r].append(s)
+        by_size_weight[r, sum(s) - r * (r + 1) // 2].append(s)
+    # fix_at[k]: the rows that I_(k+1) completes, in chain order
+    fix_at: list[list[int]] = [[] for _ in range(m)]
+    for i in range(m):
+        fix_at[i + 1 if 0 < i < m - 1 and i % 2 == 0 else i].append(i)
+    memo: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
+    sets: list[tuple[int, ...]] = [()] * m  # I_1..I_m, valid up to the current depth
+    rows: list[tuple[int, ...]] = [()] * m  # normalized adjusted conjugates, fixed so far
+    need = [0] * m  # need[i]: size gen_lr forces on the chain step after row i
+    found = []
+    stack = [iter(subsets)]  # stack[k] yields the remaining candidates for I_(k+1)
+    while stack:
+        k = len(stack) - 1
+        s = next(stack[-1], None)
+        if s is None:
+            stack.pop()
+            continue
+        sets[k] = s
+        for i in fix_at[k]:
+            shift = len(sets[i]) - len(sets[i + 1]) - len(sets[i - 1]) if i < k else 0
+            key = (sets[i], shift)
+            if key not in memo:
+                row = adjusted_conjugate(sets, i + 1, n)
+                memo[key] = normalize(row) if is_partition(row) else None
+            row = memo[key]
+            if row is None:
+                break
+            rows[i] = row
+            need[i] = sum(row) - (need[i - 1] if i else 0)
+            if need[i] < 0:
+                break
+        else:
+            if k == 0:
+                stack.append(iter(by_size[len(s)]))
+            elif k == m - 2:
+                stack.append(iter(by_size_weight.get((len(s), need[k]), ())))
+            elif k < m - 2:
+                stack.append(iter(subsets))
+            elif any(len(t) < n for t in sets) and _chain_count(rows) == 1:
+                found.append(tuple(sets))
+    return tuple(found)
 
 
 def member_cone_by_value(lams, n: int, m: int) -> MembershipVerdict:

@@ -101,15 +101,18 @@ def test_snm_json_counts_larger_shapes(capsys, n, m, count):
     assert payload["count"] == count == len(payload["tuples"])
 
 
-# sha256 of the exact stdout, recorded before the bucketed search; pins the
-# tuple order at shapes the brute-force filter cannot reach
+# sha256 of the exact stdout, recorded before the bucketed search ((5,5),
+# (8,3)) and before the half-tuple join ((4,7), (3,9)); pins the tuple order
+# at shapes the brute-force filter cannot reach
 @pytest.mark.parametrize(
     "n,m,digest",
     [
         (5, 5, "11915f7460f9dd459a79bbd03d294e016086933a6787bfbf11acd5839129bd70"),
         (8, 3, "06715797f64a5836e6e720c032a0340c526693ab494ef9eee75705ec1d6c419e"),
+        (4, 7, "03c06b493c9dfdb87df1aa7e2a3032600b3d4d7bb2af993b13a904ad87e4b11a"),
+        (3, 9, "d391592bee73a7611f273ca50fd3d259686defb06856198007d71d909273c12d"),
     ],
-    ids=["n5-m5", "n8-m3"],
+    ids=["n5-m5", "n8-m3", "n4-m7", "n3-m9"],
 )
 def test_snm_json_digest_larger_shapes(capsys, n, m, digest):
     code, out, _ = run(capsys, "snm", "-n", str(n), "-m", str(m), "--json")

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import horn_index_set_by_filter, member_cone_by_value
+from bruteforce import horn_index_set_by_dfs, horn_index_set_by_filter, member_cone_by_value
+from kleinhorn import cone
 from kleinhorn.cone import (
     UnsupportedLengthError,
     horn_index_set,
@@ -82,6 +83,37 @@ def test_horn_index_set_equal_edge_cardinalities():
 def test_horn_index_set_matches_bruteforce_filter(n, m):
     # same tuples in the same order as the filter over every subset tuple
     assert horn_index_set(n, m) == horn_index_set_by_filter(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(4, 5), (2, 9), (3, 7), (5, 5), (2, 11)])
+def test_horn_index_set_matches_dfs(n, m):
+    # same tuples in the same order as the search over all m positions, at
+    # shapes the filter cannot reach
+    assert horn_index_set(n, m) == horn_index_set_by_dfs(n, m)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(2, 3), (3, 3), (3, 5), (4, 5), (5, 5), (2, 7), (3, 7), (2, 9), (1, 9)]
+)
+def test_horn_index_set_closed_under_reversal(n, m):
+    found = set(horn_index_set(n, m))
+    assert {sets[::-1] for sets in found} == found
+
+
+# one chain count per reversal pair of halves that passes the join; at (2,9)
+# every such pair counts one, so 590 = (1,134 tuples + 46 palindromes) / 2
+@pytest.mark.parametrize("n,m,count", [(4, 5, 1250), (2, 9, 590), (3, 7, 1943), (3, 5, 120)])
+def test_horn_index_set_chain_count_calls(monkeypatch, n, m, count):
+    calls = []
+    chain_count = cone._chain_count
+
+    def counted(rows):
+        calls.append(rows)
+        return chain_count(rows)
+
+    monkeypatch.setattr(cone, "_chain_count", counted)
+    horn_index_set.__wrapped__(n, m)
+    assert len(calls) == count
 
 
 def test_horn_index_set_rejects_even_or_tiny_m():
