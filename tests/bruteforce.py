@@ -26,7 +26,7 @@ from kleinhorn.partitions import (
     subpartitions,
     subsets_of_range,
 )
-from kleinhorn.tableaux import _chain_count, gen_lr, lr_coefficient, lr_complements
+from kleinhorn.tableaux import gen_lr, lr_coefficient, lr_complements
 
 
 def ssyt_count(shape, content) -> int:
@@ -324,7 +324,7 @@ def horn_index_set_by_dfs(n: int, m: int):
                 stack.append(iter(by_size_weight.get((len(s), need[k]), ())))
             elif k < m - 2:
                 stack.append(iter(subsets))
-            elif any(len(t) < n for t in sets) and _chain_count(rows) == 1:
+            elif any(len(t) < n for t in sets) and gen_lr(rows) == 1:
                 found.append(tuple(sets))
     return tuple(found)
 
