@@ -158,9 +158,10 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
       each qualifying tuple is listed once.
 
     The all-full tuple is left out, and the result is sorted: subsets_of_range
-    lists subsets in tuple order, so tuple order is product order.  Each
-    (I_i, shift) row is built once per call, and the chain count takes the
-    normalized rows as they are, without gen_lr's checks.
+    lists subsets in tuple order, so tuple order is product order.  A row
+    depends on I_i and its shift alone, so each (I_i, shift) row is built once
+    per call and a pair of groups reads its centre row as row(J_c, shift).  The
+    chain count takes the normalized rows as they are, without gen_lr's checks.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -177,11 +178,12 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         by_size[len(s)].append(s)
     memo: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
 
-    def row(sets, i: int, shift: int):
-        """Row i of sets, normalized, or None when it is not a partition."""
-        key = (sets[i], shift)
+    def row(s, shift: int):
+        """Subset s's row shifted down by shift, normalized, or None if not a partition."""
+        key = (s, shift)
         if key not in memo:
-            raw = adjusted_conjugate(sets, i + 1, n)
+            # position 1 is never shifted
+            raw = tuple(x - shift for x in adjusted_conjugate((s,), 1, n))
             memo[key] = normalize(raw) if is_partition(raw) else None
         return memo[key]
 
@@ -204,7 +206,7 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         sets[k] = s
         for i in fix_at[k]:
             shift = len(sets[i]) - len(sets[i + 1]) - len(sets[i - 1]) if i < k else 0
-            rows[i] = row(sets, i, shift)
+            rows[i] = row(sets[i], shift)
             if rows[i] is None:
                 break
             need[i] = sum(rows[i]) - (need[i - 1] if i else 0)
@@ -222,11 +224,7 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     for centre, halves in groups.items():
         for size_l, lefts_by_need in halves.items():
             for size_r, rights_by_need in halves.items():
-                shift = len(centre) - size_l - size_r if c % 2 == 0 else 0
-                # any pair of the two groups fixes the centre row
-                some_left = next(iter(lefts_by_need.values()))[0][0]
-                some_right = next(iter(rights_by_need.values()))[0][0]
-                mid = row(some_left + some_right[-2::-1], c, shift)
+                mid = row(centre, len(centre) - size_l - size_r if c % 2 == 0 else 0)
                 if mid is None:
                     continue
                 for a_l, lefts in lefts_by_need.items():
@@ -243,75 +241,60 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(found)
 
 
-def _matrix(m: int, n: int, cells, rows: dict) -> tuple[tuple[int, ...], ...]:
-    """The m-by-n matrix with c at each 1-based (row, column, c) cell and 0 elsewhere.
-
-    rows maps each coefficient row to itself, so equal rows built through one
-    dict are one tuple.
-    """
-    mat = [[0] * n for _ in range(m)]
-    for i, j, c in cells:
-        mat[i - 1][j - 1] = c
-    return tuple(rows.setdefault(row, row) for row in map(tuple, mat))
-
-
-def _window(m: int, n: int, level: int, sets, rows: dict) -> tuple[tuple[int, ...], ...]:
-    """The m-by-n window matrix: +1 on even and -1 on odd inner rows, at each subset's columns.
-
-    Inner row i is outer row i + level; every other row is zero.  rows maps
-    each coefficient row to itself and each (subset, parity of i) to its row,
-    so a window row is built once per key and equal rows are one tuple.  The
-    trace row is the window of the all-full tuple, the one tuple
-    horn_index_set leaves out; the n = 1 alt certificate is the window of
-    one-column subsets.
-    """
-    zero = (0,) * n
-    mat = [rows.setdefault(zero, zero)] * m
-    for i, s in enumerate(sets, 1):
-        key = (s, i % 2)
-        row = rows.get(key)
-        if row is None:
-            cells = [0] * n
-            for j in s:
-                cells[j - 1] = -1 if i % 2 else 1
-            row = tuple(cells)
-            row = rows[key] = rows.setdefault(row, row)
-        mat[i + level - 1] = row
-    return tuple(mat)
-
-
 @cache
 def inequality_system(n: int, m: int) -> InequalitySystem:
     """The full flattened system for odd m: all recursion levels plus domain rows.
 
-    Level k applies the length-(m - 2k) description to rows 1+k .. m-k; inner
-    positions keep their own parity.  Identically-zero subset rows (from the
-    all-empty tuple) are suppressed and counted, never emitted.  Every
-    coefficient matrix is a tuple of rows shared across the system, so equal
-    rows are one object.  horn_index_set checks n and m before any row is built.
+    Level k applies the length-(m - 2k) description to rows 1+k .. m-k: inner
+    row i (inner positions keep their own parity) is the +1 (i even) or -1
+    (i odd) indicator row of the inner tuple's i-th subset, and every other row
+    is zero.  The trace row at level k is the window of the all-full tuple
+    (full,) * (m - 2k), the one tuple horn_index_set leaves out.  Monotone row
+    (i, j) is the step -1, +1 at columns j, j + 1 of row i; nonneg row i is the
+    -1 indicator row of {n} at row i.
+
+    The all-empty tuple, whose window is zero, is suppressed and counted, never
+    emitted; it is horn_index_set(n, L)[0] at every odd L >= 3, so each level
+    skips one tuple and suppressed_trivial is the number of levels, (m - 1) // 2.
+    It qualifies: not every subset is full, all cardinalities are 0, every shift
+    |I_i| - |I_(i-1)| - |I_(i+1)| is 0, so every adjusted conjugate is n zeros,
+    a partition, and the chain count of empty partitions is 1.  It comes first
+    because () is the least subset in tuple order and the result is sorted.  It
+    is the only tuple with no nonempty subset, so no other window is zero.
+
+    Every matrix is m references into one table built once per call: the zero
+    row, the +1 and -1 indicator rows of every nonempty subset, and the n - 1
+    monotone steps.  Those rows are pairwise different, so equal rows are one
+    object.  horn_index_set checks n and m before any row is built.
     """
     horn_index_set(n, m)
-    full = tuple(range(1, n + 1))
-    rows: dict = {}
+    zero = (0,) * n
+    # indicator[s][p]: +1 (p = 0) or -1 (p = 1) at the columns of s
+    indicator = {(): (zero, zero)}
+    for s in subsets_of_range(n)[1:]:
+        plus = tuple(int(j in s) for j in range(1, n + 1))
+        indicator[s] = (plus, tuple(-x for x in plus))
+    steps = [zero[: j - 1] + (-1, 1) + zero[j + 1 :] for j in range(1, n)]
     ineqs: list[Inequality] = []
-    suppressed = 0
-    for level in range((m - 3) // 2 + 1):
-        inner_len = m - 2 * level
-        trace = _window(m, n, level, (full,) * inner_len, rows)
-        ineqs.append(Inequality(trace, "trace", level=level))
-        for sets in horn_index_set(n, inner_len):
-            if not any(sets):
-                suppressed += 1
+    for level in range((m - 1) // 2):
+        inner = m - 2 * level
+        pad = (zero,) * level
+        trace = (tuple(range(1, n + 1)),) * inner
+        for sets in (trace,) + horn_index_set(n, inner)[1:]:
+            coeffs = pad + tuple(indicator[s][i % 2] for i, s in enumerate(sets, 1)) + pad
+            if sets is trace:
+                ineqs.append(Inequality(coeffs, "trace", level=level))
             else:
-                horn = _window(m, n, level, sets, rows)
-                ineqs.append(Inequality(horn, "horn", level=level, subsets=sets))
+                ineqs.append(Inequality(coeffs, "horn", level=level, subsets=sets))
     for i in range(1, m + 1):
-        for j in range(1, n):
-            cells = ((i, j, -1), (i, j + 1, 1))
-            ineqs.append(Inequality(_matrix(m, n, cells, rows), "monotone", position=(i, j)))
+        above, below = (zero,) * (i - 1), (zero,) * (m - i)
+        for j, step in enumerate(steps, 1):
+            ineqs.append(Inequality(above + (step,) + below, "monotone", position=(i, j)))
+    nonneg = indicator[(n,)][1]
     for i in range(1, m + 1):
-        ineqs.append(Inequality(_matrix(m, n, ((i, n, -1),), rows), "nonneg", position=(i,)))
-    return InequalitySystem(n, m, tuple(ineqs), suppressed)
+        coeffs = (zero,) * (i - 1) + (nonneg,) + (zero,) * (m - i)
+        ineqs.append(Inequality(coeffs, "nonneg", position=(i,)))
+    return InequalitySystem(n, m, tuple(ineqs), (m - 1) // 2)
 
 
 def _pad_rows(lams, n: int, m: int):
@@ -386,8 +369,9 @@ def member_single_row(values, m: int | None = None) -> MembershipVerdict:
 
     The tuple belongs to the cone iff every alternating window sum
     value_i - value_{i+1} + ... + value_j with i <= j of equal parity is
-    nonnegative; works for every m >= 3, odd or even.  A violated window is
-    returned as an origin-"alt" certificate in <= 0 form.
+    nonnegative; works for every m >= 3, odd or even.  A violated window (i, j)
+    is returned as an origin-"alt" certificate in <= 0 form: -1, +1, -1, ... on
+    rows i..j and 0 on every other row.
     """
     vals = []
     for v in values:
@@ -409,7 +393,7 @@ def member_single_row(values, m: int | None = None) -> MembershipVerdict:
         for j in range(i, m + 1):
             acc += sign * vals[j - 1]
             if (j - i) % 2 == 0 and acc < 0:
-                window = _window(m, 1, i - 1, ((1,),) * (j - i + 1), {})
+                window = tuple(((-1) ** (r - i + 1) if i <= r <= j else 0,) for r in range(1, m + 1))
                 cert = Inequality(window, "alt", position=(i, j))
                 return MembershipVerdict(False, cert, note=f"window ({i},{j})")
             sign = -sign

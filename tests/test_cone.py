@@ -100,6 +100,12 @@ def test_horn_index_set_closed_under_reversal(n, m):
     assert {sets[::-1] for sets in found} == found
 
 
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in (3, 5, 7)] + [(1, 9), (2, 9)])
+def test_horn_index_set_starts_with_all_empty_tuple(n, m):
+    # the tuple whose window is zero, which inequality_system skips at every level
+    assert horn_index_set(n, m)[0] == ((),) * m
+
+
 # one chain count per reversal pair of halves that passes the join; at (2,9)
 # every such pair counts one, so 590 = (1,134 tuples + 46 palindromes) / 2
 @pytest.mark.parametrize("n,m,count", [(4, 5, 1250), (2, 9, 590), (3, 7, 1943), (3, 5, 120)])
@@ -173,6 +179,16 @@ def test_system_levels_nest():
 def test_equal_coefficient_rows_are_one_object(n, m):
     rows = [row for iq in inequality_system(n, m).inequalities for row in iq.coeffs]
     assert len({id(r) for r in rows}) == len(set(rows))
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 5), (2, 7), (1, 9), (4, 5), (2, 9)])
+def test_suppressed_trivial_is_one_per_level(n, m):
+    system = inequality_system(n, m)
+    assert system.suppressed_trivial == (m - 1) // 2
+    horn = [iq for iq in system.inequalities if iq.origin == "horn"]
+    listed = sum(len(horn_index_set(n, length)) for length in range(3, m + 1, 2))
+    assert len(horn) == listed - system.suppressed_trivial
+    assert all(any(map(any, iq.coeffs)) for iq in horn)
 
 
 def test_inequality_system_rejects_even_m():

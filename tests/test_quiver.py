@@ -72,14 +72,24 @@ def test_build_star_even_m_reverses_last_bundle():
     assert not any(t == APEX and h == (2, 4) for t, h, _ in q.arrows)
 
 
+def _star_order(x):
+    """Even-arm vertices by ascending j, then the apex, then odd-arm vertices by descending j."""
+    j, i = x
+    if x == APEX:
+        return (1, 0)
+    return (0, j) if i % 2 == 0 else (2, -j)
+
+
 def test_build_star_counts_and_acyclicity_grid():
-    for n in range(1, 5):
-        for m in range(3, 7):
+    for n in range(1, 7):
+        for m in range(3, 9):
             q = build_star(n, m)
             assert len(q.vertices) == n * m + 1
             assert len(set(q.vertices)) == len(q.vertices)
             # arrow count: m flags of (n-1), m-1 chain arrows, 2 apex bundles
             assert len(q.arrows) == m * (n - 1) + (m - 1) + 2
+            # every arrow goes forward in one order, so there is no cycle
+            assert all(_star_order(t) < _star_order(h) for t, h, _ in q.arrows)
 
 
 def test_build_star_rejects_bad_sizes():
