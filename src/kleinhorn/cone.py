@@ -353,14 +353,15 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
 def routes(n: int, m: int):
     """The closed decision routes for (n, m) as (name, decide) pairs, in order.
 
-    "inequality" (member_cone) applies for odd m, "single-row"
-    (member_single_row) for n = 1; decide maps m rows to a MembershipVerdict.
+    "single-row" (member_single_row) applies for n = 1 and comes first, as it
+    needs no inequality system; "inequality" (member_cone) applies for odd m.
+    decide maps m rows to a MembershipVerdict.
     """
     found = []
-    if m % 2 == 1:
-        found.append(("inequality", lambda lams: member_cone(lams, n, m)))
     if n == 1:
         found.append(("single-row", lambda lams: member_single_row(lams, m)))
+    if m % 2 == 1:
+        found.append(("inequality", lambda lams: member_cone(lams, n, m)))
     return tuple(found)
 
 

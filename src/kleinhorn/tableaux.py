@@ -133,21 +133,26 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
         zero times.
     (d) Letter h takes what is left: P_r(h) = outer_r.
     (e) After P_r(v), the cells take letters v + 1..h, and by (b) letter u
-        takes at most T_(r-1)(u-1) - T_(r-1)(u); the caps telescope to
-        T_(r-1)(v) - T_(r-1)(h), so P_r(v) >= outer_r - T_(r-1)(v) + T_(r-1)(h).
-        At v = h - 1 this is (b) for letter h.
+        takes at most T_(r-1)(u-1) - T_(r-1)(u); these telescope to T_(r-1)(v)
+        by (f), so P_r(v) >= outer_r - T_(r-1)(v): (b) for letter h at v = h - 1.
+    (f) On entering row r, h exceeds every letter of rows 0..r-1, so
+        T_(r-1)(h) = 0, and (a) and (b) hold at h: P_(r-1)(h - 1) =
+        outer_(r-1) >= outer_r, and (b) matters only if v0 = h > 1 in a
+        nonempty row, where left_r = left_(r-1) and row r - 1 holds letter
+        top alone by (c), so T_r(h) = outer_r - left_r <= T_(r-1)(h - 1).
 
     The walk chooses P_r(v) for each row r and each letter v from v0 to
     h - 1, within the bounds (a), (b) and (e), on an explicit stack of one
-    range per open (row, letter); letter h then takes the rest, so a row with
-    v0 = h is entered without a choice, after checking (a) and (b) at h.
-    Letters outside v0..h keep (a) and (b) already, as left_r <= left_(r-1)
-    and T_(r-1) is zero past top, so each complete set of choices is one
-    lattice filling, counted once under its content T(1), ..., T(top).
-    Entering a row logs what it adds to the counts, and each open letter
-    rolls the log back before its next choice.  A row keeps positions only
-    for its letters v0..h, so the depth is at most rows times letters, and
-    no step's cost grows with the part sizes.
+    range per open (row, letter); letter h then takes the rest, so by (f) a
+    row with v0 = h is entered without a choice or a check.  Letters outside
+    v0..h keep (a) and (b) already, as left_r <= left_(r-1) and T_(r-1) is
+    zero past top, so each complete set of choices is one lattice filling,
+    counted once under its content T(1), ..., T(top).  Entering row q adds
+    outer_q - left_q to letter top_q + 1, and top_q is fixed while row q is
+    entered, so the count of rows entered is the whole undo record: an open
+    letter of row r takes back the rows past r before its next choice.  A
+    row keeps positions only for its letters v0..h, so the depth is at most
+    rows times letters, and no step's cost grows with the part sizes.
     """
     outer = normalize(outer)
     left = normalize(left)
@@ -159,10 +164,9 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
     top = [0] * (rows + 1)  # top[r]: the largest letter of rows 0..r-1
     first = [1] * rows  # first[r]: v0 of row r
     pos = [[]] * rows  # pos[r][k]: P_r(first[r] - 1 + k); the last entry is outer_r
-    tail = [0] * rows  # tail[r]: T_(r-1)(h) for the last letter h of row r
     counts: dict[Partition, int] = defaultdict(int)
-    log = []  # (letter, count) added to placed on entering a row
-    stack = []  # per open letter v < h: (positions, row, k, v, h, len(log) when opened)
+    entered = 0  # rows 0..entered-1 have added their letters h to placed
+    stack = []  # per open letter v < h: (positions, row, k)
     r, k = 0, -1  # open letter k of row r; k = -1 enters row r, k = -2 resumes the stack
     while True:
         while k == -1:
@@ -183,20 +187,13 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
                 while above[j] <= mu:
                     j += 1
                 v0 = first[r - 1] + j
-            if r and lam > pos[r - 1][max(0, h - first[r - 1])]:
-                k = -2  # (a) at letter h
-                break
             first[r] = v0
-            tail[r] = placed[h]
             placed[h] += lam - mu  # (d): letter h holds every cell the others leave
-            log.append((h, lam - mu))
+            entered = r + 1
+            pos[r] = [mu] * (h - v0 + 1) + [lam]
             if v0 < h:
-                pos[r] = [mu] * (h - v0 + 1) + [lam]
                 k = 0
-            elif h > 1 and placed[h] > placed[h - 1]:
-                k = -2  # (b) at letter h
             else:
-                pos[r] = [mu, lam]
                 top[r + 1] = h if lam > mu else h - 1
                 r += 1
         if k >= 0:
@@ -204,7 +201,7 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
             v = first[r] + k
             p = row[k]
             tv = placed[v]
-            lo = outer[r] - tv + tail[r]  # (e)
+            lo = outer[r] - tv  # (e)
             if lo < p:
                 lo = p
             j = v - first[r - 1]
@@ -218,14 +215,16 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
                 if most < hi:
                     hi = most
             row[k + 1] = p
-            stack.append((iter(range(lo, hi + 1)), r, k, v, first[r] + len(row) - 2, len(log)))
+            stack.append((iter(range(lo, hi + 1)), r, k))
         if not stack:
             break
-        it, r, k, v, h, mark = stack[-1]
-        while len(log) > mark:
-            u, c = log.pop()
-            placed[u] -= c
+        it, r, k = stack[-1]
+        while entered > r + 1:
+            entered -= 1
+            placed[top[entered] + 1] -= outer[entered] - inn[entered]
         row = pos[r]
+        v = first[r] + k
+        h = top[r] + 1
         p = next(it, None)
         if p is None:
             d = row[k + 1] - row[k]

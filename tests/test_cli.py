@@ -176,7 +176,7 @@ def test_decide_member(capsys):
 
 
 def test_decide_non_member_certificate(capsys):
-    code, out, _ = run(capsys, "decide", "-n", "1", "-m", "3", "1;3;1")
+    code, out, _ = run(capsys, "decide", "-n", "2", "-m", "3", "1;3;1")
     assert code == 1
     lines = out.splitlines()
     assert lines[0] == "not a member"
@@ -221,7 +221,7 @@ def test_decide_method_oracle_only(capsys):
 
 
 def test_decide_json_schema(capsys):
-    code, out, _ = run(capsys, "decide", "-n", "1", "-m", "3", "--json", "1;3;1")
+    code, out, _ = run(capsys, "decide", "-n", "2", "-m", "3", "--json", "1;3;1")
     assert code == 1
     payload = json.loads(out)
     assert payload["member"] is False
@@ -235,6 +235,7 @@ def test_decide_json_schema(capsys):
     code, out, _ = run(capsys, "decide", "-n", "1", "-m", "3", "--json", "1;2;1")
     payload = json.loads(out)
     assert code == 0 and payload["member"] is True
+    assert payload["route"] == "single-row"  # the closed form decides n = 1 first
     assert payload["certificate"] is None
     assert payload["witness"] == [[], [1], [1], []]
 
@@ -359,9 +360,23 @@ def _flip_member_cone(monkeypatch):
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
 def test_decide_route_disagreement_is_internal(capsys, monkeypatch, fmt):
     _flip_member_cone(monkeypatch)
-    code, out, err = run(capsys, "decide", "-n", "1", "-m", "3", *fmt, "1;2;1")
+    code, out, err = run(capsys, "decide", "-n", "2", "-m", "3", *fmt, "1;2;1")
     assert code == 4 and out == ""
     assert "internal disagreement" in err
+
+
+@pytest.mark.parametrize("m", [5, 31])
+def test_decide_n1_needs_no_inequality_system(capsys, monkeypatch, m):
+    # the single-row closed form decides n = 1; building the odd-m system
+    # takes over a minute at m = 31
+    def refuse(*args):
+        raise RuntimeError("the inequality system was built")
+
+    monkeypatch.setattr(cone, "inequality_system", refuse)
+    code, out, _ = run(capsys, "decide", "-n", "1", "-m", str(m), "--json", ";".join(["1"] * m))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["member"] is True and payload["route"] == "single-row"
 
 
 def test_crosscheck_reports_disagreements(capsys, monkeypatch):
@@ -474,7 +489,7 @@ def test_crosscheck_text(capsys):
     assert code == 0
     assert "9 tuples" not in out  # 3 partitions in the box, cubed
     assert "27 tuples" in out
-    assert "routes=[inequality,single-row]" in out
+    assert "routes=[single-row,inequality]" in out
     assert "disagreements=0" in out
 
 

@@ -194,7 +194,7 @@ def test_cross_check_clean_grids():
 def test_cross_check_routes_by_case():
     assert cross_check(2, 3, 1).routes == ("inequality",)
     assert cross_check(1, 4, 1).routes == ("single-row",)
-    assert cross_check(1, 3, 1).routes == ("inequality", "single-row")
+    assert cross_check(1, 3, 1).routes == ("single-row", "inequality")
 
 
 def test_cross_check_even_m_wide_rows_unroutable():
@@ -202,6 +202,11 @@ def test_cross_check_even_m_wide_rows_unroutable():
 
     with pytest.raises(UnsupportedLengthError):
         cross_check(2, 4, 2)
+    # a short tuple is a usage error even where a route exists
+    with pytest.raises(ValueError) as caught:
+        cross_check(1, 2, 1)
+    assert str(caught.value) == "need m >= 3, got 2"
+    assert not isinstance(caught.value, UnsupportedLengthError)
 
 
 def test_oracle_matches_cone_on_mixed_grid():

@@ -56,10 +56,11 @@ def test_lr_large_parts():
 
 
 def _listing_cases():
-    # every pair in five boxes; columns 1^k/1^j and one of 1200 rows; rows (a)/(b)
+    # every pair in six boxes; columns 1^k/1^j and one of 1200 rows; rows (a)/(b)
     # and, on a grid of step 3, (a, b)/(c) up to 60 (the 2 x 9 box has every such
-    # pair up to 9)
-    for box in [(4, 5), (5, 4), (3, 6), (6, 3), (2, 9)]:
+    # pair up to 9).  The 8 x 2 box has tall rows entered without a choice and
+    # then taken back several at a time.
+    for box in [(4, 5), (5, 4), (3, 6), (6, 3), (2, 9), (8, 2)]:
         for lam in partitions_in_box(*box):
             for mu in subpartitions(lam):
                 yield lam, mu
