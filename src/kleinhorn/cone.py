@@ -25,7 +25,7 @@ from .partitions import (
     subsets_of_range,
     to_json,
 )
-from .tableaux import _chain_count
+from .tableaux import _chain_state, _chain_step
 
 
 class UnsupportedLengthError(ValueError):
@@ -102,7 +102,35 @@ class InequalitySystem:
         }
 
     def to_json(self) -> str:
-        return to_json(self.to_json_dict())
+        """to_json(self.to_json_dict()), joined from the JSON text of each value.
+
+        Coefficient rows and subsets are shared between inequalities, so each
+        distinct value is encoded once per call, by partitions.to_json, and
+        every inequality is joined from those texts under its fixed keys.
+        """
+        text = _JsonTexts()
+
+        def array(values) -> str:
+            return "[" + ",".join(map(text.__getitem__, values)) + "]"
+
+        ineqs = ",".join(
+            f'{{"origin":{text[iq.origin]},"level":{text[iq.level]},'
+            f'"subsets":{text[None] if iq.subsets is None else array(iq.subsets)},'
+            f'"position":{text[iq.position]},"coeffs":{array(iq.coeffs)}}}'
+            for iq in self.inequalities
+        )
+        return (
+            f'{{"n":{text[self.n]},"m":{text[self.m]},'
+            f'"suppressed_trivial":{text[self.suppressed_trivial]},"inequalities":[{ineqs}]}}'
+        )
+
+
+class _JsonTexts(dict):
+    """A value's JSON text, encoded by partitions.to_json on its first lookup."""
+
+    def __missing__(self, value) -> str:
+        self[value] = encoded = to_json(value)
+        return encoded
 
 
 @dataclass(frozen=True)
@@ -151,17 +179,39 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
       of R are the rows of I from the right.
     * I = L + R[-2::-1] is a bijection from the pairs (L, R) that pass the
       join to the tuples that pass every screen, and rev(I) is the image of
-      (R, L).  The halves are grouped by J_c, then |J_(c-1)|, then a: the
-      first two fix the centre row for a pair of groups, and that row fixes
-      the a_R each a_L joins.  Only pairs with L <= R are counted: a unit
-      count gives I, and rev(I) too when L != R.  Since I = rev(I) iff L = R,
-      each qualifying tuple is listed once.
+      (R, L).  The halves are grouped by J_c, then by |J_(c-1)| when c is
+      even (it shifts the centre row) and not at all when c is odd, then by
+      a: the first two fix the centre row for a pair of groups, and that row
+      fixes the a_R each a_L joins.  Only pairs with L <= R are counted: a
+      unit count gives I, and rev(I) too when L != R.  Since I = rev(I) iff
+      L = R, each qualifying tuple is listed once.
+    * The count splits at the centre.  gen_lr sums, over the chains
+      mu_0 = row_0, mu_1, ..., mu_(m-2) = row_(m-1), the product of
+      c^(row_i)_(mu_(i-1) mu_i) over i = 1..m-2.  Fix alpha = mu_(c-1) and
+      beta = mu_c: the factors i < c read only mu_0..mu_(c-1), the factor
+      i = c is c^(row_c)_(alpha beta), and the factors i > c read only
+      mu_c..mu_(m-2).  So the count is the sum over alpha, beta of
+      S_L(alpha) c^(row_c)_(alpha beta) S_R(beta), where S_L(alpha) sums the
+      factors i < c over the chains from row_0 to alpha, the chain state of
+      L's rows 0..c-1, and S_R(beta) sums the factors i > c over the chains
+      from beta to row_(m-1).  Read from row_(m-1) back to beta, such a chain
+      has, by c^lam_(mu nu) = c^lam_(nu mu), the factors of the forward walk
+      over rows m-1, ..., c+1, which are R's rows 0..c-1: S_R is R's chain
+      state.  If a half's state is empty, every term is zero whichever side
+      the half is on and whatever its partner, so it is in no qualifying
+      tuple and is not stored.  The centre listing
+      nu -> sum over alpha of S_L(alpha) c^(row_c)_(alpha nu) is one more
+      chain step from S_L; it is built when L first meets a partner R >= L
+      under one centre row, and each partner's count is then the sum over
+      beta of listing(beta) S_R(beta).
 
     The all-full tuple is left out, and the result is sorted: subsets_of_range
     lists subsets in tuple order, so tuple order is product order.  A row
     depends on I_i and its shift alone, so each (I_i, shift) row is built once
-    per call and a pair of groups reads its centre row as row(J_c, shift).  The
-    chain count takes the normalized rows as they are, without gen_lr's checks.
+    per call and a pair of groups reads its centre row as row(J_c, shift).  A
+    state depends on the half's rows alone, so it is walked once per distinct
+    rows 0..c-1 within a call and shared by every half with those rows.  The
+    walks take the normalized rows as they are, without gen_lr's checks.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -194,7 +244,9 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     sets: list[tuple[int, ...]] = [()] * (c + 1)  # J_0..J_c, valid up to the current depth
     rows: list[tuple[int, ...]] = [()] * c  # rows 0..c-1, fixed so far
     need = [0] * c  # need[i]: size gen_lr forces on the chain step after row i
-    # groups[J_c][|J_(c-1)|][need[c-1]]: the halves, as (sets, rows)
+    states: dict[tuple[tuple[int, ...], ...], dict] = {}  # rows 0..c-1 -> their chain state
+    # groups[J_c][side][need[c-1]]: the halves, as (sets, state); side is
+    # |J_(c-1)| when c is even, where it shifts the centre row, and 0 otherwise
     groups: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
     stack = [iter(subsets)]  # stack[k] yields the remaining candidates for J_k
     while stack:
@@ -218,22 +270,31 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             elif k < c:
                 stack.append(iter(subsets))
             else:
-                groups[s][len(sets[c - 1])][need[c - 1]].append((tuple(sets), tuple(rows)))
+                key = tuple(rows)
+                state = states.get(key)
+                if state is None:
+                    state = states[key] = _chain_state(key)
+                if state:
+                    side = len(sets[c - 1]) if c % 2 == 0 else 0
+                    groups[s][side][need[c - 1]].append((tuple(sets), state))
     full = (tuple(range(1, n + 1)),) * (c + 1)
     found = []
     for centre, halves in groups.items():
-        for size_l, lefts_by_need in halves.items():
-            for size_r, rights_by_need in halves.items():
-                mid = row(centre, len(centre) - size_l - size_r if c % 2 == 0 else 0)
+        for side_l, lefts_by_need in halves.items():
+            for side_r, rights_by_need in halves.items():
+                mid = row(centre, len(centre) - side_l - side_r if c % 2 == 0 else 0)
                 if mid is None:
                     continue
                 for a_l, lefts in lefts_by_need.items():
                     rights = rights_by_need.get(sum(mid) - a_l, ())
-                    for left, left_rows in lefts:
-                        for right, right_rows in rights:
+                    for left, state_l in lefts:
+                        listing = None  # the left half's centre listing, built on its first partner
+                        for right, state_r in rights:
                             if left > right or left == full == right:
                                 continue
-                            if _chain_count(left_rows + (mid,) + right_rows[::-1]) == 1:
+                            if listing is None:
+                                listing = _chain_step(state_l, mid)
+                            if sum(listing.get(nu, 0) * w for nu, w in state_r.items()) == 1:
                                 found.append(left + right[-2::-1])
                                 if left != right:
                                     found.append(right + left[-2::-1])

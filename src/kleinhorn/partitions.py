@@ -219,11 +219,12 @@ def format_subset(s) -> str:
     return "{" + ",".join(str(z) for z in s) + "}"
 
 
-def to_json(d: dict) -> str:
+def to_json(d: object) -> str:
     """Stable byte-for-byte serialization: fixed key order, no whitespace.
 
     Tuples and lists are both written as arrays.  Every payload is a tree the
-    caller builds, so the encoder's cycle check is off; rows shared between
-    inequalities are written once per use.
+    caller builds, so the encoder's cycle check is off.  A value shared within
+    a payload is encoded at each use; InequalitySystem.to_json instead encodes
+    each distinct row, subset and tag once here and joins those texts.
     """
     return json.dumps(d, separators=(",", ":"), check_circular=False)

@@ -266,13 +266,28 @@ def gen_lr(lams) -> int:
 
 def _chain_count(lams) -> int:
     """gen_lr of a sequence of at least three canonical partitions, unchecked."""
+    return _chain_state(lams[:-1]).get(lams[-1], 0)
+
+
+def _chain_state(lams) -> dict[Partition, int]:
+    """The chain's weights after its last row: nu -> the chained count ending at nu.
+
+    Starts at {lams[0]: 1} and takes one _chain_step per later row, so for
+    two or more rows gen_lr(lams + (nu,)) is the weight of nu.  Empty once no
+    chain continues.
+    """
     state: dict[Partition, int] = {lams[0]: 1}
-    for i in range(1, len(lams) - 1):
-        nxt: dict[Partition, int] = defaultdict(int)
-        for prev, w in state.items():
-            for nu, c in lr_complements(lams[i], prev):
-                nxt[nu] += w * c
-        if not nxt:
-            return 0
-        state = nxt
-    return state.get(lams[-1], 0)
+    for lam in lams[1:]:
+        if not state:
+            break
+        state = _chain_step(state, lam)
+    return state
+
+
+def _chain_step(state: dict[Partition, int], lam: Partition) -> dict[Partition, int]:
+    """Weights one row further: nu -> sum over prev of state[prev] * c^lam_(prev nu)."""
+    nxt: dict[Partition, int] = defaultdict(int)
+    for prev, w in state.items():
+        for nu, c in lr_complements(lam, prev):
+            nxt[nu] += w * c
+    return nxt

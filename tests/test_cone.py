@@ -20,7 +20,7 @@ from kleinhorn.cone import (
     member_cone,
     member_single_row,
 )
-from kleinhorn.partitions import pad_add, partitions_in_box, scale
+from kleinhorn.partitions import pad_add, partitions_in_box, scale, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,10 +85,10 @@ def test_horn_index_set_matches_bruteforce_filter(n, m):
     assert horn_index_set(n, m) == horn_index_set_by_filter(n, m)
 
 
-@pytest.mark.parametrize("n,m", [(4, 5), (2, 9), (3, 7), (5, 5), (2, 11)])
+@pytest.mark.parametrize("n,m", [(4, 5), (2, 9), (3, 7), (5, 5), (2, 11), (4, 7)])
 def test_horn_index_set_matches_dfs(n, m):
     # same tuples in the same order as the search over all m positions, at
-    # shapes the filter cannot reach
+    # shapes the filter cannot reach; (4,7) has half states of weight 2
     assert horn_index_set(n, m) == horn_index_set_by_dfs(n, m)
 
 
@@ -106,20 +106,27 @@ def test_horn_index_set_starts_with_all_empty_tuple(n, m):
     assert horn_index_set(n, m)[0] == ((),) * m
 
 
-# one chain count per reversal pair of halves that passes the join; at (2,9)
-# every such pair counts one, so 590 = (1,134 tuples + 46 palindromes) / 2
-@pytest.mark.parametrize("n,m,count", [(4, 5, 1250), (2, 9, 590), (3, 7, 1943), (3, 5, 120)])
-def test_horn_index_set_chain_count_calls(monkeypatch, n, m, count):
-    calls = []
-    chain_count = cone._chain_count
+# one chain walk per distinct rows 0..c-1 of a half (its state) and one centre
+# listing per left half and centre row that meets a partner R >= L
+@pytest.mark.parametrize(
+    "n,m,walks,listings", [(4, 5, 30, 484), (2, 9, 9, 137), (3, 7, 162, 206), (3, 5, 9, 74)]
+)
+def test_horn_index_set_chain_walks(monkeypatch, n, m, walks, listings):
+    calls = Counter()
 
-    def counted(rows):
-        calls.append(rows)
-        return chain_count(rows)
+    def counted(name):
+        work = getattr(cone, name)
 
-    monkeypatch.setattr(cone, "_chain_count", counted)
+        def call(*args):
+            calls[name] += 1
+            return work(*args)
+
+        return call
+
+    for name in ("_chain_state", "_chain_step"):
+        monkeypatch.setattr(cone, name, counted(name))
     horn_index_set.__wrapped__(n, m)
-    assert len(calls) == count
+    assert calls == {"_chain_state": walks, "_chain_step": listings}
 
 
 def test_horn_index_set_rejects_even_or_tiny_m():
@@ -347,6 +354,12 @@ def test_ineqs_json_golden():
         got = inequality_system(n, m).to_json()
         expect = (GOLDEN / f"ineqs_n{n}_m{m}.json").read_text().strip()
         assert got == expect
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in (3, 5, 7)] + [(1, 9), (2, 9), (5, 5)])
+def test_ineqs_json_writer_matches_dict_encoding(n, m):
+    system = inequality_system(n, m)
+    assert system.to_json() == to_json(system.to_json_dict())
 
 
 def test_ineqs_json_shape():

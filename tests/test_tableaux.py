@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from kleinhorn.partitions import (
     subpartitions,
 )
 from kleinhorn.tableaux import (
+    _chain_state,
     gen_lr,
     kostka_number,
     lr_coefficient,
@@ -238,3 +240,30 @@ def test_gen_lr_reversal_invariance(data):
     m = data.draw(st.integers(3, 5))
     lams = tuple(data.draw(st.sampled_from(grid)) for _ in range(m))
     assert gen_lr(lams) == gen_lr(tuple(reversed(lams)))
+
+
+def test_gen_lr_split_at_the_centre():
+    # gen_lr(lams) = sum of S_L(a) * c^(lams[c])_(a b) * S_R(b), with S_L the chain
+    # state of rows 0..c-1 and S_R that of rows m-1..c+1: the split that
+    # horn_index_set counts its joined halves by.  Each chain links random
+    # mus, lams[i] a term of mus[i-1] * mus[i], so gen_lr(lams) >= 1.
+    rng = random.Random(19)
+    grid = list(partitions_in_box(3, 3))
+    widest = heaviest = 0
+    for m in (3, 5, 7, 9):
+        c = (m - 1) // 2
+        for _ in range(40):
+            mus = [rng.choice(grid) for _ in range(m - 1)]
+            lams = [mus[0]]
+            for a, b in zip(mus, mus[1:]):
+                lams.append(rng.choice([lam for lam in partitions_of(sum(a) + sum(b))
+                                        if lr_coefficient(lam, a, b)]))
+            lams.append(mus[-1])
+            left, right = _chain_state(lams[:c]), _chain_state(lams[:c:-1])
+            split = sum(wa * lr_coefficient(lams[c], a, b) * wb
+                        for a, wa in left.items() for b, wb in right.items())
+            assert split == gen_lr(lams) >= 1, lams
+            for state in (left, right):
+                widest = max(widest, len(state))
+                heaviest = max(heaviest, max(state.values()))
+    assert widest >= 2 and heaviest >= 2
