@@ -18,14 +18,11 @@ from .partitions import (
     format_subset,
     is_partition,
     normalize,
-    pad_add,
     pad_to,
     parse_partition,
     parse_rational_parts,
-    parse_subset,
     partition_of_subset,
     partitions_in_box,
-    scale,
     subpartitions,
 )
 from .tableaux import gen_lr, kostka_number, lr_coefficient, lr_complements

@@ -99,8 +99,7 @@ def _cmd_ineqs(args) -> int:
 def _cmd_decide(args) -> int:
     ints, scale = _parse_rows(args.types, args.n, args.m)
 
-    ineq_verdict = route = None
-    oracle_member = outcome = None
+    ineq_verdict = route = outcome = None
     if args.method in ("ineq", "both"):
         available = cone.routes(args.n, args.m)
         if available:
@@ -113,20 +112,17 @@ def _cmd_decide(args) -> int:
             )
     if args.method in ("oracle", "both"):
         outcome = witness_search(ints, args.n)
-        oracle_member = outcome.chain is not None
 
-    if ineq_verdict is not None and oracle_member is not None:
-        if ineq_verdict.member != oracle_member:
-            print(
-                f"internal disagreement on {args.types!r}: "
-                f"{route} says {ineq_verdict.member}, oracle says {oracle_member} "
-                f"(certificate: {ineq_verdict.certificate.render() if ineq_verdict.certificate else None}, "
-                f"explored: {outcome.explored})",
-                file=sys.stderr,
-            )
-            return INTERNAL
-
-    member = oracle_member if oracle_member is not None else ineq_verdict.member
+    member = outcome.chain is not None if outcome is not None else ineq_verdict.member
+    if ineq_verdict is not None and outcome is not None and ineq_verdict.member != member:
+        print(
+            f"internal disagreement on {args.types!r}: "
+            f"{route} says {ineq_verdict.member}, oracle says {member} "
+            f"(certificate: {ineq_verdict.certificate.render() if ineq_verdict.certificate else None}, "
+            f"explored: {outcome.explored})",
+            file=sys.stderr,
+        )
+        return INTERNAL
 
     if args.json:
         payload: dict = {"n": args.n, "m": args.m, "member": member, "method": args.method}
@@ -134,7 +130,7 @@ def _cmd_decide(args) -> int:
             payload["route"] = "inequality-system" if route == "inequality" else route
             cert = ineq_verdict.certificate
             payload["certificate"] = cert.to_json_dict() if cert else None
-        if oracle_member is not None:
+        if outcome is not None:
             payload["scale"] = scale
             payload["witness"] = outcome.chain.mus if outcome.chain else None
             payload["explored"] = outcome.explored
@@ -144,7 +140,7 @@ def _cmd_decide(args) -> int:
         if not member and ineq_verdict is not None and ineq_verdict.certificate is not None:
             cert = ineq_verdict.certificate
             print(f"violated: {cert.render()} (value {Fraction(cert.value(ints), scale)})")
-        if oracle_member is not None:
+        if outcome is not None:
             if outcome.chain is not None:
                 suffix = f" (after scaling by {scale})" if scale != 1 else ""
                 print(f"witness: {_chain_text(outcome.chain.mus)}{suffix}")
@@ -192,7 +188,7 @@ def _cmd_crosscheck(args) -> int:
         }
         print(to_json(payload))
     else:
-        names = ",".join(report.routes) if report.routes else "none"
+        names = ",".join(report.routes)
         print(
             f"crosscheck n={report.n} m={report.m} bound={report.bound}: "
             f"{report.total} tuples, routes=[{names}], "

@@ -426,29 +426,19 @@ def routes(n: int, m: int):
     return tuple(found)
 
 
-def member_single_row(values, m: int | None = None) -> MembershipVerdict:
+def member_single_row(lams, m: int) -> MembershipVerdict:
     """Closed-form membership when every row has a single part (n = 1).
 
-    The tuple belongs to the cone iff every alternating window sum
-    value_i - value_{i+1} + ... + value_j with i <= j of equal parity is
-    nonnegative; works for every m >= 3, odd or even.  A violated window (i, j)
-    is returned as an origin-"alt" certificate in <= 0 form: -1, +1, -1, ... on
-    rows i..j and 0 on every other row.
+    lams is m >= 3 rows of at most one part each, read by _pad_rows as
+    member_cone reads its rows.  The tuple belongs to the cone iff every
+    alternating window sum v_i - v_(i+1) + ... + v_j with i <= j of equal parity
+    is nonnegative; works for every m >= 3, odd or even.  A violated window
+    (i, j) is returned as an origin-"alt" certificate in <= 0 form: -1, +1, -1,
+    ... on rows i..j and 0 on every other row.
     """
-    vals = []
-    for v in values:
-        if isinstance(v, (list, tuple)):
-            if len(v) > 1:
-                raise ValueError(f"row {v!r} has more than one part")
-            vals.append(v[0] if v else 0)
-        else:
-            vals.append(v)
-    if m is None:
-        m = len(vals)
-    if len(vals) != m:
-        raise ValueError(f"expected {m} values, got {len(vals)}")
     if m < 3:
-        raise ValueError(f"need at least three values, got {m}")
+        raise ValueError(f"need m >= 3, got {m}")
+    vals = [v for (v,) in _pad_rows(lams, 1, m)]
     for i in range(1, m + 1):
         acc = 0
         sign = 1

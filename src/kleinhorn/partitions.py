@@ -73,25 +73,6 @@ def pad_to(seq, length: int) -> tuple:
     return tuple(seq) + (0,) * (length - len(seq))
 
 
-def pad_add(a, b) -> tuple:
-    """Componentwise sum after zero-padding to the common length."""
-    length = max(len(a), len(b))
-    a = pad_to(a, length)
-    b = pad_to(b, length)
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale(seq, r) -> tuple:
-    """Componentwise multiple by a positive rational; integral results stay ints."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError(f"scale factor must be positive, got {r}")
-    out = tuple(x * r for x in seq)
-    if all(v.denominator == 1 for v in out):
-        return tuple(int(v) for v in out)
-    return out
-
-
 def check_subset(zs: tuple, n: int) -> None:
     """Raise ValueError unless zs is a strictly increasing tuple of integers in 1..n."""
     prev = 0
@@ -199,16 +180,6 @@ def parse_int_parts(text: str) -> tuple[int, ...]:
 
 def parse_partition(text: str) -> Partition:
     return normalize(parse_int_parts(text))
-
-
-def parse_subset(text: str, n: int) -> tuple[int, ...]:
-    """A subset of {1..n} written as {2,5}; braces optional, {} is empty."""
-    t = text.strip().replace(" ", "")
-    if t.startswith("{") and t.endswith("}"):
-        t = t[1:-1]
-    zs = parse_int_parts(t)
-    check_subset(zs, n)
-    return zs
 
 
 def format_partition(p) -> str:

@@ -255,17 +255,13 @@ def gen_lr(lams) -> int:
     enforces the alternating size relation itself: a prefix that outgrows the
     next partition has no complement, and a last partition of the wrong size
     is never reached, so either gives zero.  Each entry is checked and made
-    canonical here; _chain_count does the counting.
+    canonical here; _chain_state walks the chain up to the last entry, whose
+    weight there is the count.
     """
     lams = tuple(normalize(l) for l in lams)
     m = len(lams)
     if m < 3:
         raise ValueError(f"need at least three partitions, got {m}")
-    return _chain_count(lams)
-
-
-def _chain_count(lams) -> int:
-    """gen_lr of a sequence of at least three canonical partitions, unchecked."""
     return _chain_state(lams[:-1]).get(lams[-1], 0)
 
 

@@ -17,14 +17,12 @@ from kleinhorn.cone import (
     horn_index_set,
     inequality_system,
     interior_point,
-    member_cone,
     member_single_row,
 )
 from kleinhorn.oracle import chain_is_valid, cross_check, witness_search
 from kleinhorn.partitions import (
     conjugate,
     normalize,
-    pad_add,
     partitions_in_box,
     subpartitions,
 )
@@ -97,7 +95,7 @@ def test_single_row_equals_oracle():
     for m in range(3, 8):
         for vals in product(range(5), repeat=m):
             rows = [(v,) if v else () for v in vals]
-            window = member_single_row(vals, m).member
+            window = member_single_row(rows, m).member
             oracle = witness_search(rows, 1).chain is not None
             assert window == oracle, (m, vals)
     assert time.perf_counter() - start < 60
@@ -110,7 +108,7 @@ def test_saturation():
         grid = list(partitions_in_box(n, bound))
         for lams in product(grid, repeat=m):
             once = witness_search(lams, n).chain is not None
-            doubled = [pad_add(p, p) for p in lams]
+            doubled = [tuple(2 * x for x in p) for p in lams]
             twice = witness_search(doubled, n).chain is not None
             assert once == twice, lams
 

@@ -556,6 +556,8 @@ CLI_GOLDEN_CASES = [
     ("decide_single_row", ["decide", "-n", "1", "-m", "4", "--json", "3;3;1;2"], 0),
     ("decide_single_row_certificate", ["decide", "-n", "1", "-m", "4", "--json", "1;3;1;1"], 1),
     ("decide_oracle_only", ["decide", "-n", "2", "-m", "4", "--method", "oracle", "--json", "1/2,1/3;1/2;1/3;1/2,1/3"], 0),
+    ("decide_no_route", ["decide", "-n", "2", "-m", "4", "--json", "2,1;2,1;1;1"], 0),
+    ("decide_no_route_none", ["decide", "-n", "2", "-m", "4", "--json", "1;3;1;1"], 1),
     ("decide_ineq_only", ["decide", "-n", "2", "-m", "5", "--method", "ineq", "--json", "2,1;2,1;;;"], 0),
     ("witness_chain", ["witness", "-n", "2", "-m", "3", "--json", "2,1;1;2,1"], 0),
     ("witness_none", ["witness", "-n", "1", "-m", "3", "--json", "1;3;1"], 1),

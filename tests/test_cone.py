@@ -4,7 +4,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ from kleinhorn.cone import (
     member_cone,
     member_single_row,
 )
-from kleinhorn.partitions import pad_add, partitions_in_box, scale, to_json
+from kleinhorn.partitions import partitions_in_box, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -286,12 +286,13 @@ def test_member_cone_matches_evaluation_by_value(n, m):
 
 
 def test_member_single_row_examples():
-    assert member_single_row([3, 3, 1, 2]).member
-    assert member_single_row([0, 0, 0]).member
-    v = member_single_row([1, 3, 1])
+    assert member_single_row([(3,), (3,), (1,), (2,)], 4).member
+    assert member_single_row([(), (), ()], 3).member
+    v = member_single_row([(1,), (3,), (1,)], 3)
     assert not v.member and v.certificate.origin == "alt" and v.certificate.position == (1, 3)
-    assert member_single_row([(1,), (), (2,)]).member  # rows are accepted too
-    v = member_single_row([(1,), (3,), (1,)])
+    assert member_single_row([(1,), (), (2,)], 3).member
+    # rational rows are read as they are, not scaled
+    v = member_single_row([(Fraction(1, 3),), (1,), (Fraction(1, 3),)], 3)
     assert not v.member and v.certificate.position == (1, 3)
 
 
@@ -299,27 +300,30 @@ def test_member_single_row_matches_cone_small():
     for m in (3, 5):
         for vals in product(range(4), repeat=m):
             rows = [(v,) if v else () for v in vals]
-            assert member_single_row(vals, m).member == member_cone(rows, 1, m).member
+            assert member_single_row(rows, m).member == member_cone(rows, 1, m).member
 
 
 def test_member_single_row_certificate_positive():
     for m in (3, 4, 5):
         for vals in product(range(3), repeat=m):
-            v = member_single_row(list(vals), m)
+            rows = [(x,) for x in vals]
+            v = member_single_row(rows, m)
             if not v.member:
-                assert v.certificate.value([(x,) for x in vals]) > 0
+                assert v.certificate.value(rows) > 0
 
 
 def test_member_single_row_rejects_wide_rows():
-    with pytest.raises(ValueError):
-        member_single_row([(1, 1), (1,), (1,)])
+    with pytest.raises(ValueError, match="longer than n = 1"):
+        member_single_row([(1, 1), (1,), (1,)], 3)
+    with pytest.raises(TypeError):
+        member_single_row([1, (1,), (1,)], 3)
 
 
 def test_member_single_row_rejects_bad_lengths():
-    with pytest.raises(ValueError, match="expected 3 values, got 2"):
-        member_single_row([1, 2], 3)
-    with pytest.raises(ValueError, match="at least three"):
-        member_single_row([1, 2])
+    with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+        member_single_row([(1,), (2,)], 3)
+    with pytest.raises(ValueError, match="need m >= 3, got 2"):
+        member_single_row([(1,), (2,)], 2)
 
 
 @settings(max_examples=40)
@@ -329,11 +333,11 @@ def test_members_closed_under_sum_and_scaling(data):
             if member_cone(lams, 2, 3).member]
     a = data.draw(st.sampled_from(grid))
     b = data.draw(st.sampled_from(grid))
-    summed = tuple(pad_add(x, y) for x, y in zip(a, b))
+    summed = tuple(tuple(map(sum, zip_longest(x, y, fillvalue=0))) for x, y in zip(a, b))
     assert member_cone(summed, 2, 3).member
     r = data.draw(st.integers(1, 5))
-    assert member_cone([scale(x, r) for x in a], 2, 3).member
-    half = [scale(x, Fraction(1, 2)) for x in a]
+    assert member_cone([tuple(r * v for v in x) for x in a], 2, 3).member
+    half = [tuple(Fraction(v, 2) for v in x) for x in a]
     assert member_cone(half, 2, 3).member
 
 

@@ -15,15 +15,12 @@ from kleinhorn.partitions import (
     is_partition,
     is_weakly_decreasing,
     normalize,
-    pad_add,
     pad_to,
     parse_int_parts,
     parse_partition,
     parse_rational_parts,
-    parse_subset,
     partition_of_subset,
     partitions_in_box,
-    scale,
     subpartitions,
     subsets_of_range,
 )
@@ -95,8 +92,6 @@ def test_subset_validators_agree_on_rejection(bad):
     with pytest.raises(ValueError):
         partition_of_subset(bad, n)
     with pytest.raises(ValueError):
-        parse_subset(format_subset(bad), n)
-    with pytest.raises(ValueError):
         dimvector_of_subsets((bad,), n, 0)
 
 
@@ -124,38 +119,6 @@ def test_adjusted_conjugate_always_weakly_decreasing():
         for combo in product(subs, repeat=3):
             for i in (1, 2, 3):
                 assert is_weakly_decreasing(adjusted_conjugate(combo, i, n))
-
-
-def test_pad_add_examples():
-    assert pad_add((2, 1), (3,)) == (5, 1)
-    assert pad_add((), (1, 1)) == (1, 1)
-    assert pad_add((), ()) == ()
-
-
-@given(
-    st.lists(st.integers(-5, 5), max_size=6),
-    st.lists(st.integers(-5, 5), max_size=6),
-    st.lists(st.integers(-5, 5), max_size=6),
-)
-def test_pad_add_commutative_associative(a, b, c):
-    a, b, c = tuple(a), tuple(b), tuple(c)
-    assert pad_add(a, b) == pad_add(b, a)
-    assert pad_add(pad_add(a, b), c) == pad_add(a, pad_add(b, c))
-
-
-def test_scale():
-    assert scale((3, 1), 2) == (6, 2)
-    assert scale((3, 1), Fraction(1, 2)) == (Fraction(3, 2), Fraction(1, 2))
-    assert scale((4, 2), Fraction(1, 2)) == (2, 1)
-    with pytest.raises(ValueError):
-        scale((1,), 0)
-    with pytest.raises(ValueError):
-        scale((1,), -2)
-
-
-@given(partition_st, st.integers(1, 5))
-def test_scale_by_integer_keeps_partition(p, r):
-    assert is_partition(scale(p, r))
 
 
 def test_contains():
@@ -199,13 +162,6 @@ def test_parsing():
     assert parse_rational_parts("3/2,1") == (Fraction(3, 2), Fraction(1))
     with pytest.raises(ValueError):
         parse_rational_parts("1/0")
-    assert parse_subset("{2,5}", 5) == (2, 5)
-    assert parse_subset("{}", 3) == ()
-    assert parse_subset("2,3", 3) == (2, 3)
-    with pytest.raises(ValueError):
-        parse_subset("{0}", 3)
-    with pytest.raises(ValueError):
-        parse_subset("{2,2}", 3)
 
 
 def test_formatting():

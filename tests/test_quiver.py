@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kleinhorn.partitions import subsets_of_range, to_json
+from kleinhorn.cone import inequality_system
+from kleinhorn.partitions import partitions_in_box, subsets_of_range, to_json
 from kleinhorn.quiver import (
     APEX,
     Quiver,
@@ -278,6 +280,32 @@ def test_weight_pairing_closed_forms():
                 tuple(tuple(sorted(set((1, 2)) - set(s))) for s in combo), 2, 1
             )
             assert weight_pairing(w, comp) == -expect
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (3, 3), (2, 5), (3, 5), (2, 7), (1, 9), (4, 5), (3, 7)])
+def test_every_system_row_is_a_quiver_quantity(n, m):
+    # each row of the odd-m system, derived from flag weights instead of the
+    # indicator table: trace and horn rows pair the weight with the padded
+    # subsets' dimension vector, domain rows read one flag vertex
+    rng = random.Random(n * 100 + m)
+    box = list(partitions_in_box(n, 3))
+    full = tuple(range(1, n + 1))
+    for _ in range(3):
+        lams = [rng.choice(box) for _ in range(m)]
+        w = weight_of_tuple(lams, n)
+        for iq in inequality_system(n, m).inequalities:
+            if iq.origin in ("trace", "horn"):
+                k = iq.level
+                inner = iq.subsets or (full,) * (m - 2 * k)
+                vec = dimvector_of_subsets(((),) * k + inner + ((),) * k, n, 0)
+                expect = (-1) ** k * weight_pairing(w, vec)
+            elif iq.origin == "monotone":
+                i, j = iq.position
+                expect = -((-1) ** i) * w[(j, i)]
+            else:
+                (i,) = iq.position
+                expect = -((-1) ** i) * w[(n, i)]
+            assert iq.value(lams) == expect, (lams, iq.render())
 
 
 def test_weight_pairing_balanced_example():
