@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import compress
 from math import lcm
-from operator import mul
+from operator import getitem
 
 from .partitions import (
     adjusted_conjugate,
@@ -323,30 +323,50 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
     because () is the least subset in tuple order and the result is sorted.  It
     is the only tuple with no nonempty subset, so no other window is zero.
 
-    Every matrix is m references into one table built once per call: the zero
-    row, the +1 and -1 indicator rows of every nonempty subset, and the n - 1
-    monotone steps.  Those rows are pairwise different, so equal rows are one
-    object.  horn_index_set checks n and m before any row is built.
+    Every matrix is m references into _row_table(n).  member_cone's
+    certificates come from the same _cone_rows and _domain_rows, so each row
+    has one definition.  horn_index_set checks n and m before any row is built.
     """
     horn_index_set(n, m)
+    ineqs: list[Inequality] = []
+    for level in range((m - 1) // 2):
+        ineqs.extend(_cone_rows(n, m, level, range(len(horn_index_set(n, m - 2 * level)))))
+    ineqs.extend(_domain_rows(n, m))
+    return InequalitySystem(n, m, tuple(ineqs), (m - 1) // 2)
+
+
+@cache
+def _row_table(n: int):
+    """The zero row, indicator[s] = (+1 row, -1 row) of each subset s, and the n - 1 monotone steps."""
     zero = (0,) * n
-    # indicator[s][p]: +1 (p = 0) or -1 (p = 1) at the columns of s
     indicator = {(): (zero, zero)}
     for s in subsets_of_range(n)[1:]:
         plus = tuple(int(j in s) for j in range(1, n + 1))
         indicator[s] = (plus, tuple(-x for x in plus))
     steps = [zero[: j - 1] + (-1, 1) + zero[j + 1 :] for j in range(1, n)]
-    ineqs: list[Inequality] = []
-    for level in range((m - 1) // 2):
-        inner = m - 2 * level
-        pad = (zero,) * level
-        trace = (tuple(range(1, n + 1)),) * inner
-        for sets in (trace,) + horn_index_set(n, inner)[1:]:
-            coeffs = pad + tuple(indicator[s][i % 2] for i, s in enumerate(sets, 1)) + pad
-            if sets is trace:
-                ineqs.append(Inequality(coeffs, "trace", level=level))
-            else:
-                ineqs.append(Inequality(coeffs, "horn", level=level, subsets=sets))
+    return zero, indicator, steps
+
+
+def _cone_rows(n: int, m: int, level: int, indices):
+    """Level `level`'s rows at indices into horn_index_set(n, m - 2 * level); index 0 is the trace row."""
+    zero, indicator, _ = _row_table(n)
+    tuples = horn_index_set(n, m - 2 * level)
+    pad = (zero,) * level
+    trace = (tuple(range(1, n + 1)),) * (m - 2 * level)
+    for index in indices:
+        sets = tuples[index] if index else trace
+        coeffs = pad + tuple(indicator[s][i % 2] for i, s in enumerate(sets, 1)) + pad
+        if index:
+            yield Inequality(coeffs, "horn", level=level, subsets=sets)
+        else:
+            yield Inequality(coeffs, "trace", level=level)
+
+
+@cache
+def _domain_rows(n: int, m: int) -> tuple[Inequality, ...]:
+    """The monotone rows (i, j), then the nonneg rows i, of the (n, m) system."""
+    zero, indicator, steps = _row_table(n)
+    ineqs = []
     for i in range(1, m + 1):
         above, below = (zero,) * (i - 1), (zero,) * (m - i)
         for j, step in enumerate(steps, 1):
@@ -355,7 +375,25 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
     for i in range(1, m + 1):
         coeffs = (zero,) * (i - 1) + (nonneg,) + (zero,) * (m - i)
         ineqs.append(Inequality(coeffs, "nonneg", position=(i,)))
-    return InequalitySystem(n, m, tuple(ineqs), (m - 1) // 2)
+    return tuple(ineqs)
+
+
+@cache
+def _certificate(n: int, m: int, level: int, index: int) -> Inequality:
+    """inequality_system(n, m)'s row `index` of level `level`, built alone."""
+    return next(_cone_rows(n, m, level, (index,)))
+
+
+@cache
+def _horn_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """horn_index_set(n, m) as bitmasks, bit j - 1 for element j, with the trace tuple at index 0.
+
+    Odd positions i (from 1) hold the complement: -S(I) = S(complement of I) - S(full).
+    """
+    flip = [(1 << n) - 1 if i % 2 else 0 for i in range(1, m + 1)]
+    mask = {s: sum(1 << (j - 1) for j in s) for s in subsets_of_range(n)}
+    tuples = ((tuple(range(1, n + 1)),) * m,) + horn_index_set(n, m)[1:]
+    return tuple(tuple(mask[s] ^ f for s, f in zip(sets, flip)) for sets in tuples)
 
 
 def _pad_rows(lams, n: int, m: int):
@@ -370,44 +408,50 @@ def _pad_rows(lams, n: int, m: int):
     return tuple(rows)
 
 
-_DOMAIN = ("monotone", "nonneg")
+def _first_violated(masks, sums, offset: int) -> int | None:
+    """The first index of masks whose row is violated on the window at offset, or None.
 
-
-@cache
-def _compiled(n: int, m: int) -> tuple[tuple[tuple[int, ...], Inequality], ...]:
-    """The (n, m) system as (flat coefficients, inequality) pairs, domain rows first.
-
-    The flat coefficients are the inequality's matrix read row by row.  The
-    monotone and nonneg rows come first, then the trace and horn rows, each
-    group in system order.
+    sums[r] lists row r's subset sums by bitmask.  By _horn_masks' complements,
+    a row is positive iff its sum exceeds the window's full sums at odd positions.
     """
-    ineqs = inequality_system(n, m).inequalities
-    domain = [iq for iq in ineqs if iq.origin in _DOMAIN]
-    cone = [iq for iq in ineqs if iq.origin not in _DOMAIN]
-    return tuple((tuple(chain.from_iterable(iq.coeffs)), iq) for iq in domain + cone)
+    window = sums[offset : offset + len(masks[0])]
+    bound = sum(s[-1] for s in window[::2])
+    for index, entry in enumerate(masks):
+        if sum(map(getitem, window, entry)) > bound:
+            return index
+    return None
 
 
 def member_cone(lams, n: int, m: int) -> MembershipVerdict:
-    """Decide cone membership for odd m by checking every inequality.
+    """Decide cone membership for odd m by the rows of inequality_system(n, m), in its order.
 
-    The rows are flattened once and checked against the compiled system,
-    domain rows (weak decrease, nonnegativity) first, so that malformed rows
-    always get a monotone/nonneg certificate.  The entries are first scaled
-    to integers by the lcm of their denominators: every inequality is linear
-    and homogeneous, so a positive scale keeps each sign and the first
-    violated inequality is the same.  That inequality is returned as the
-    certificate and evaluates strictly positive on the input.
+    Domain rows come first, so malformed rows always get a monotone/nonneg
+    certificate: monotone (i, j) is violated when l_ij < l_i(j+1), nonneg i
+    when l_in < 0.  Level k = 0, 1, ... is then the level-0 check of the
+    (n, m - 2k) system on rows k+1 .. m-k.  Each row's subset sums are taken
+    once, of the entries scaled to integers by the lcm of their denominators
+    (every row is linear and homogeneous, so a positive scale keeps each sign
+    and the first violated row), and a row's value is m - 2k list lookups.
+    The first violated row is the certificate, equal to the system's row.
     """
-    flat = [x for row in _pad_rows(lams, n, m) for x in row]
-    scale = lcm(*(x.denominator for x in flat))
-    flat = [x.numerator * (scale // x.denominator) for x in flat]
-    for coeffs, iq in _compiled(n, m):
-        if sum(map(mul, coeffs, flat)) > 0:
-            if iq.origin in _DOMAIN:
-                note = "domain"
-            else:
-                note = f"level {iq.level} (window length {m - 2 * iq.level})"
-            return MembershipVerdict(False, iq, note=note)
+    rows = _pad_rows(lams, n, m)
+    _horn_masks(n, m)  # horn_index_set checks n and m
+    violated = [row[j - 1] < row[j] for row in rows for j in range(1, n)] + [row[-1] < 0 for row in rows]
+    for iq in compress(_domain_rows(n, m), violated):
+        return MembershipVerdict(False, iq, note="domain")
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    sums = []
+    for row in rows:
+        row_sums = [0]
+        for x in row:
+            x = x.numerator * (scale // x.denominator)
+            row_sums += [s + x for s in row_sums]
+        sums.append(row_sums)
+    for level in range((m - 1) // 2):
+        index = _first_violated(_horn_masks(n, m - 2 * level), sums, level)
+        if index is not None:
+            note = f"level {level} (window length {m - 2 * level})"
+            return MembershipVerdict(False, _certificate(n, m, level, index), note=note)
     return MembershipVerdict(True, None, note="all levels hold")
 
 
@@ -455,8 +499,8 @@ def member_single_row(lams, m: int) -> MembershipVerdict:
 def interior_point(n: int, m: int):
     """The staircase tuple (rho,) * m, rho = (n, ..., 1), strictly inside the cone.
 
-    Raises RuntimeError unless Inequality.value (no code shared with member_cone)
-    is negative on it for every row.  It always is: monotone and nonneg rows read
+    Raises RuntimeError unless Inequality.value (member_cone's bitmask check does
+    not use it) is negative on it for every row.  It always is: monotone and nonneg rows read
     -1, trace rows -|rho|.  A horn row of a qualifying (I_1..I_L), r_t = |I_t|,
     reads V = sum (-1)^t (r_t (n+1) - sum I_t).  The adjusted conjugates have sizes
     sum I_t - r_t (r_t+1)/2, less (n - r_t)(r_t - r_(t-1) - r_(t+1)) at odd interior

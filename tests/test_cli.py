@@ -365,18 +365,38 @@ def test_decide_route_disagreement_is_internal(capsys, monkeypatch, fmt):
     assert "internal disagreement" in err
 
 
-@pytest.mark.parametrize("m", [5, 31])
-def test_decide_n1_needs_no_inequality_system(capsys, monkeypatch, m):
-    # the single-row closed form decides n = 1; building the odd-m system
-    # takes over a minute at m = 31
+def _decided(n, m, member, route, certificate, witness, explored):
+    return {"n": n, "m": m, "member": member, "method": "both", "route": route, "certificate": certificate,
+            "scale": 1, "witness": witness, "explored": explored}
+
+
+@pytest.mark.parametrize(
+    "n,m,types,payload",
+    [
+        pytest.param(1, 5, "1;1;1;1;1", _decided(1, 5, True, "single-row", None, [[], [1]] * 3, 5), id="5"),
+        pytest.param(1, 31, ";".join(["1"] * 31), _decided(1, 31, True, "single-row", None, [[], [1]] * 16, 31),
+                     id="31"),
+        pytest.param(2, 5, "2;2;3,3;3,3;3,1",
+                     _decided(2, 5, True, "inequality-system", None, [[], [2], [], [3, 3], [], [3, 1]], 5),
+                     id="n2-m5-member"),
+        pytest.param(2, 5, "3,2;2,2;3;;2,2",
+                     _decided(2, 5, False, "inequality-system",
+                              {"origin": "horn", "level": 1, "subsets": [[1], [1], [1]], "position": None,
+                               "coeffs": [[0, 0], [-1, 0], [1, 0], [-1, 0], [0, 0]]}, None, 2),
+                     id="n2-m5-horn"),
+    ],
+)
+def test_decide_n1_needs_no_inequality_system(capsys, monkeypatch, n, m, types, payload):
+    # the single-row closed form decides n = 1, where building the odd-m system
+    # takes over a minute at m = 31; at n >= 2 member_cone reads the index set
+    # itself, and its certificate is the system's row all the same
     def refuse(*args):
         raise RuntimeError("the inequality system was built")
 
     monkeypatch.setattr(cone, "inequality_system", refuse)
-    code, out, _ = run(capsys, "decide", "-n", "1", "-m", str(m), "--json", ";".join(["1"] * m))
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["member"] is True and payload["route"] == "single-row"
+    code, out, _ = run(capsys, "decide", "-n", str(n), "-m", str(m), "--json", types)
+    assert code == (0 if payload["member"] else 1)
+    assert json.loads(out) == payload
 
 
 def test_crosscheck_reports_disagreements(capsys, monkeypatch):

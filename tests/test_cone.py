@@ -270,12 +270,17 @@ def _random_tuple(rng: random.Random, n: int, m: int, kind: str):
     return rows
 
 
-@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (2, 7)])
+# draws per kind: Inequality.value on Fraction rows takes about 0.1 s per
+# member tuple at (3,7), where the system has 3,298 rows
+_BY_VALUE_DRAWS = {(4, 5): 12, (3, 7): 12}
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (2, 7), (4, 5), (3, 7)])
 def test_member_cone_matches_evaluation_by_value(n, m):
     rng = random.Random(1000 * n + m)
     origins = Counter()
     for kind in ("integer", "small denominators", "large prime denominator", "malformed"):
-        for _ in range(60):
+        for _ in range(_BY_VALUE_DRAWS.get((n, m), 60)):
             lams = _random_tuple(rng, n, m, kind)
             verdict = member_cone(lams, n, m)
             assert verdict == member_cone_by_value(lams, n, m), (kind, lams)
