@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from kleinhorn.cli import main as cli_main
-from kleinhorn.cone import inequality_system
+from kleinhorn.cone import system_json
 from kleinhorn.partitions import to_json
 from kleinhorn.quiver import build_star, quiver_to_json_dict
 
@@ -42,7 +42,7 @@ def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for n, m in INEQ_CASES:
         path = GOLDEN / f"ineqs_n{n}_m{m}.json"
-        path.write_text(inequality_system(n, m).to_json() + "\n")
+        path.write_text("".join(system_json(n, m)) + "\n")
         print(f"wrote {path}")
     for n, m in QUIVER_CASES:
         path = GOLDEN / f"quiver_n{n}_m{m}.json"

@@ -86,13 +86,14 @@ def _cmd_snm(args) -> int:
 
 
 def _cmd_ineqs(args) -> int:
-    system = cone.inequality_system(args.n, args.m)
+    """Each row is written as it is produced; the first chunk comes after n and m are checked."""
     if args.json:
-        print(system.to_json())
+        sys.stdout.writelines(cone.system_json(args.n, args.m))
+        print()
     else:
-        for iq in system.inequalities:
+        for iq in cone.system_rows(args.n, args.m):
             print(iq.render())
-        print(f"# suppressed trivial: {system.suppressed_trivial}")
+        print(f"# suppressed trivial: {(args.m - 1) // 2}")
     return OK
 
 

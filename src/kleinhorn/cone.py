@@ -101,37 +101,6 @@ class InequalitySystem:
             "inequalities": [iq.to_json_dict() for iq in self.inequalities],
         }
 
-    def to_json(self) -> str:
-        """to_json(self.to_json_dict()), joined from the JSON text of each value.
-
-        Coefficient rows and subsets are shared between inequalities, so each
-        distinct value is encoded once per call, by partitions.to_json, and
-        every inequality is joined from those texts under its fixed keys.
-        """
-        text = _JsonTexts()
-
-        def array(values) -> str:
-            return "[" + ",".join(map(text.__getitem__, values)) + "]"
-
-        ineqs = ",".join(
-            f'{{"origin":{text[iq.origin]},"level":{text[iq.level]},'
-            f'"subsets":{text[None] if iq.subsets is None else array(iq.subsets)},'
-            f'"position":{text[iq.position]},"coeffs":{array(iq.coeffs)}}}'
-            for iq in self.inequalities
-        )
-        return (
-            f'{{"n":{text[self.n]},"m":{text[self.m]},'
-            f'"suppressed_trivial":{text[self.suppressed_trivial]},"inequalities":[{ineqs}]}}'
-        )
-
-
-class _JsonTexts(dict):
-    """A value's JSON text, encoded by partitions.to_json on its first lookup."""
-
-    def __missing__(self, value) -> str:
-        self[value] = encoded = to_json(value)
-        return encoded
-
 
 @dataclass(frozen=True)
 class MembershipVerdict:
@@ -327,12 +296,47 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
     certificates come from the same _cone_rows and _domain_rows, so each row
     has one definition.  horn_index_set checks n and m before any row is built.
     """
+    return InequalitySystem(n, m, tuple(system_rows(n, m)), (m - 1) // 2)
+
+
+def system_rows(n: int, m: int):
+    """inequality_system(n, m)'s rows in order: each level's _cone_rows, then _domain_rows."""
     horn_index_set(n, m)
-    ineqs: list[Inequality] = []
     for level in range((m - 1) // 2):
-        ineqs.extend(_cone_rows(n, m, level, range(len(horn_index_set(n, m - 2 * level)))))
-    ineqs.extend(_domain_rows(n, m))
-    return InequalitySystem(n, m, tuple(ineqs), (m - 1) // 2)
+        yield from _cone_rows(n, m, level, range(len(horn_index_set(n, m - 2 * level))))
+    yield from _domain_rows(n, m)
+
+
+def system_json(n: int, m: int):
+    """to_json(inequality_system(n, m).to_json_dict()) as chunks: the header, one per row, then "]}".
+
+    No Inequality is built for a trace or horn row: each subset and each of its
+    indicator rows in _row_table(n) is encoded once per call by to_json, and a
+    level's zero rows at each end are one prefix and one suffix.  Domain rows are
+    encoded from _domain_rows.  horn_index_set checks n and m before the header.
+    """
+    horn_index_set(n, m)
+    zero, indicator, _ = _row_table(n)
+    subset = {s: to_json(s) for s in indicator}
+    plus = {s: to_json(rows[0]) for s, rows in indicator.items()}
+    minus = {s: to_json(rows[1]) for s, rows in indicator.items()}
+    levels, full = (m - 1) // 2, tuple(range(1, n + 1))
+    yield f'{{"n":{n},"m":{m},"suppressed_trivial":{levels},"inequalities":['
+    for level in range(levels):
+        signs = ([minus, plus] * m)[: m - 2 * level]  # inner row i takes the -1 row at odd i
+        pad = (to_json(zero) + ",") * level
+        end = ("," + to_json(zero)) * level + "]}"
+        yield (
+            f'{"," if level else ""}{{"origin":"trace","level":{level},"subsets":null,"position":null,'
+            f'"coeffs":[{pad}{",".join(sign[full] for sign in signs)}{end}'
+        )
+        head = f',{{"origin":"horn","level":{level},"subsets":['
+        coeffs = f'],"position":null,"coeffs":[{pad}'
+        for sets in horn_index_set(n, m - 2 * level)[1:]:
+            yield f'{head}{",".join(map(subset.__getitem__, sets))}{coeffs}{",".join(map(getitem, signs, sets))}{end}'
+    for iq in _domain_rows(n, m):
+        yield "," + to_json(iq.to_json_dict())
+    yield "]}"
 
 
 @cache

@@ -195,7 +195,7 @@ def to_json(d: object) -> str:
 
     Tuples and lists are both written as arrays.  Every payload is a tree the
     caller builds, so the encoder's cycle check is off.  A value shared within
-    a payload is encoded at each use; InequalitySystem.to_json instead encodes
-    each distinct row, subset and tag once here and joins those texts.
+    a payload is encoded at each use; cone.system_json instead encodes each
+    subset and indicator row once here and joins those texts row by row.
     """
     return json.dumps(d, separators=(",", ":"), check_circular=False)

@@ -143,6 +143,28 @@ def test_ineqs_json_matches_golden(capsys):
         assert out.strip() == (GOLDEN / f"ineqs_n{n}_m{m}.json").read_text().strip()
 
 
+def test_ineqs_json_builds_no_inequality_system(capsys, monkeypatch):
+    def refuse(n, m):
+        raise AssertionError("ineqs --json built the inequality system")
+
+    monkeypatch.setattr(cone, "inequality_system", refuse)
+    code, out, err = run(capsys, "ineqs", "-n", "2", "-m", "5", "--json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "ineqs_n2_m5.json").read_text()
+
+
+def test_ineqs_json_crash_part_way_is_internal(capsys, monkeypatch):
+    def crash(n, m):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cone, "_domain_rows", crash)
+    code, out, err = run(capsys, "ineqs", "-n", "2", "-m", "3", "--json")
+    assert code == 4 and err == "error: internal: RuntimeError: boom\n"
+    # the rows written before the crash stay on stdout, with no closing bracket
+    assert out.startswith('{"n":2,"m":3,"suppressed_trivial":1,"inequalities":[{"origin":"trace"')
+    assert not out.endswith("]}\n")
+
+
 # sha256 of the exact stdout; the (4,5) and (2,9) digests are also the ones
 # perfbench/reference.json records for the index-build workload; (1,9) and
 # (5,5) were recorded while each row was still built as its own list
@@ -164,8 +186,9 @@ def test_ineqs_json_digest_larger_shapes(capsys, n, m, digest):
 
 
 def test_ineqs_even_m_unsupported(capsys):
-    code, _, err = run(capsys, "ineqs", "-n", "1", "-m", "4")
-    assert code == 3 and "error:" in err
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "ineqs", "-n", "1", "-m", "4", *flags)
+        assert (code, out) == (3, "") and "error:" in err
 
 
 def test_decide_member(capsys):
@@ -274,12 +297,14 @@ BAD_SIZE_CASES = [
     pytest.param(("witness", "-n", "0", "-m", "3", ";;"), "need n >= 1, got 0", id="witness-n0"),
     pytest.param(("decide", "-n", "-2", "-m", "3", ";;"), "need n >= 1, got -2", id="decide-n-2"),
     pytest.param(("ineqs", "-n", "0", "-m", "4"), "need n >= 1, got 0", id="ineqs-n0"),
+    pytest.param(("ineqs", "-n", "0", "-m", "4", "--json"), "need n >= 1, got 0", id="ineqs-n0-json"),
     pytest.param(("crosscheck", "-n", "0", "-m", "4", "--bound", "1"), "need n >= 1, got 0", id="crosscheck-n0"),
     pytest.param(
         ("crosscheck", "-n", "1", "-m", "3", "--bound", "-1"), "need bound >= 0, got -1", id="crosscheck-bound-1"
     ),
     pytest.param(("snm", "-n", "2", "-m", "1"), "need m >= 3, got 1", id="snm-m1"),
     pytest.param(("ineqs", "-n", "2", "-m", "2"), "need m >= 3, got 2", id="ineqs-m2"),
+    pytest.param(("ineqs", "-n", "2", "-m", "2", "--json"), "need m >= 3, got 2", id="ineqs-m2-json"),
     pytest.param(("crosscheck", "-n", "2", "-m", "2", "--bound", "1"), "need m >= 3, got 2", id="crosscheck-m2"),
     pytest.param(("crosscheck", "-n", "1", "-m", "-1", "--bound", "2"), "need m >= 3, got -1", id="crosscheck-m-1"),
     pytest.param(("decide", "-n", "2", "-m", "2", ";"), "need m >= 3, got 2", id="decide-m2"),
