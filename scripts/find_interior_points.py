@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from kleinhorn.cone import inequality_system, interior_point
+from kleinhorn.cone import interior_point, system_rows
 from kleinhorn.partitions import format_partition
 
 
@@ -27,11 +27,10 @@ def main() -> int:
     for chunk in args.pairs.split(";"):
         n, m = map(int, chunk.split(","))
         point = interior_point(n, m)
-        system = inequality_system(n, m)
-        margins = [iq.value(point) for iq in system.inequalities]
+        margins = [iq.value(point) for iq in system_rows(n, m)]
         rows = " ; ".join(map(format_partition, point))
         print(f"n={n} m={m}: [{rows}]  (max margin {max(margins)}, "
-              f"{len(system.inequalities)} inequalities)")
+              f"{len(margins)} inequalities)")
     return 0
 
 

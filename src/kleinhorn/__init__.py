@@ -42,7 +42,6 @@ from .quiver import (
 )
 from .cone import (
     Inequality,
-    InequalitySystem,
     MembershipVerdict,
     UnsupportedLengthError,
     horn_index_set,
@@ -50,6 +49,7 @@ from .cone import (
     interior_point,
     member_cone,
     member_single_row,
+    system_rows,
 )
 from .oracle import (
     CrossCheckReport,

@@ -11,6 +11,7 @@ JSON output is byte-stable: fixed key order, no timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -171,23 +172,7 @@ def _cmd_witness(args) -> int:
 def _cmd_crosscheck(args) -> int:
     report = cross_check(args.n, args.m, args.bound)
     if args.json:
-        payload = {
-            "n": report.n,
-            "m": report.m,
-            "bound": report.bound,
-            "total": report.total,
-            "routes": report.routes,
-            "disagreements": [
-                {
-                    "types": d.lams,
-                    "oracle": d.oracle,
-                    "other": d.other,
-                    "route": d.route,
-                }
-                for d in report.disagreements
-            ],
-        }
-        print(to_json(payload))
+        print(to_json(dataclasses.asdict(report)))
     else:
         names = ",".join(report.routes)
         print(
@@ -196,7 +181,7 @@ def _cmd_crosscheck(args) -> int:
             f"disagreements={len(report.disagreements)}"
         )
         for d in report.disagreements:
-            types = ";".join(format_partition(l) for l in d.lams)
+            types = ";".join(format_partition(l) for l in d.types)
             print(f"  disagree [{d.route}] on {types!r}: oracle={d.oracle} other={d.other}")
     return OK if report.clean else NON_MEMBER
 

@@ -87,22 +87,6 @@ class Inequality:
 
 
 @dataclass(frozen=True)
-class InequalitySystem:
-    n: int
-    m: int
-    inequalities: tuple[Inequality, ...]
-    suppressed_trivial: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "suppressed_trivial": self.suppressed_trivial,
-            "inequalities": [iq.to_json_dict() for iq in self.inequalities],
-        }
-
-
-@dataclass(frozen=True)
 class MembershipVerdict:
     member: bool
     certificate: Inequality | None = None
@@ -272,7 +256,12 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @cache
-def inequality_system(n: int, m: int) -> InequalitySystem:
+def inequality_system(n: int, m: int) -> tuple[Inequality, ...]:
+    """system_rows(n, m) as a tuple, cached per (n, m)."""
+    return tuple(system_rows(n, m))
+
+
+def system_rows(n: int, m: int):
     """The full flattened system for odd m: all recursion levels plus domain rows.
 
     Level k applies the length-(m - 2k) description to rows 1+k .. m-k: inner
@@ -281,11 +270,12 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
     is zero.  The trace row at level k is the window of the all-full tuple
     (full,) * (m - 2k), the one tuple horn_index_set leaves out.  Monotone row
     (i, j) is the step -1, +1 at columns j, j + 1 of row i; nonneg row i is the
-    -1 indicator row of {n} at row i.
+    -1 indicator row of {n} at row i.  The rows come in this order: each level's
+    _cone_row at every index, then _domain_rows.
 
     The all-empty tuple, whose window is zero, is suppressed and counted, never
     emitted; it is horn_index_set(n, L)[0] at every odd L >= 3, so each level
-    skips one tuple and suppressed_trivial is the number of levels, (m - 1) // 2.
+    skips one tuple and the suppressed count is the number of levels, (m - 1) // 2.
     It qualifies: not every subset is full, all cardinalities are 0, every shift
     |I_i| - |I_(i-1)| - |I_(i+1)| is 0, so every adjusted conjugate is n zeros,
     a partition, and the chain count of empty partitions is 1.  It comes first
@@ -293,22 +283,19 @@ def inequality_system(n: int, m: int) -> InequalitySystem:
     is the only tuple with no nonempty subset, so no other window is zero.
 
     Every matrix is m references into _row_table(n).  member_cone's
-    certificates come from the same _cone_rows and _domain_rows, so each row
+    certificates come from the same _cone_row and _domain_rows, so each row
     has one definition.  horn_index_set checks n and m before any row is built.
     """
-    return InequalitySystem(n, m, tuple(system_rows(n, m)), (m - 1) // 2)
-
-
-def system_rows(n: int, m: int):
-    """inequality_system(n, m)'s rows in order: each level's _cone_rows, then _domain_rows."""
     horn_index_set(n, m)
     for level in range((m - 1) // 2):
-        yield from _cone_rows(n, m, level, range(len(horn_index_set(n, m - 2 * level))))
+        for index in range(len(horn_index_set(n, m - 2 * level))):
+            yield _cone_row(n, m, level, index)
     yield from _domain_rows(n, m)
 
 
 def system_json(n: int, m: int):
-    """to_json(inequality_system(n, m).to_json_dict()) as chunks: the header, one per row, then "]}".
+    """to_json({"n": n, "m": m, "suppressed_trivial": (m - 1) // 2, "inequalities": [the
+    to_json_dict of each row of system_rows(n, m)]}) as chunks: the header, one per row, then "]}".
 
     No Inequality is built for a trace or horn row: each subset and each of its
     indicator rows in _row_table(n) is encoded once per call by to_json, and a
@@ -351,19 +338,15 @@ def _row_table(n: int):
     return zero, indicator, steps
 
 
-def _cone_rows(n: int, m: int, level: int, indices):
-    """Level `level`'s rows at indices into horn_index_set(n, m - 2 * level); index 0 is the trace row."""
+def _cone_row(n: int, m: int, level: int, index: int) -> Inequality:
+    """Level `level`'s row at an index into horn_index_set(n, m - 2 * level); index 0 is the trace row."""
     zero, indicator, _ = _row_table(n)
-    tuples = horn_index_set(n, m - 2 * level)
     pad = (zero,) * level
-    trace = (tuple(range(1, n + 1)),) * (m - 2 * level)
-    for index in indices:
-        sets = tuples[index] if index else trace
-        coeffs = pad + tuple(indicator[s][i % 2] for i, s in enumerate(sets, 1)) + pad
-        if index:
-            yield Inequality(coeffs, "horn", level=level, subsets=sets)
-        else:
-            yield Inequality(coeffs, "trace", level=level)
+    sets = horn_index_set(n, m - 2 * level)[index] if index else (tuple(range(1, n + 1)),) * (m - 2 * level)
+    coeffs = pad + tuple(indicator[s][i % 2] for i, s in enumerate(sets, 1)) + pad
+    if index:
+        return Inequality(coeffs, "horn", level=level, subsets=sets)
+    return Inequality(coeffs, "trace", level=level)
 
 
 @cache
@@ -382,10 +365,7 @@ def _domain_rows(n: int, m: int) -> tuple[Inequality, ...]:
     return tuple(ineqs)
 
 
-@cache
-def _certificate(n: int, m: int, level: int, index: int) -> Inequality:
-    """inequality_system(n, m)'s row `index` of level `level`, built alone."""
-    return next(_cone_rows(n, m, level, (index,)))
+_certificate = cache(_cone_row)  # member_cone's certificates, each built once
 
 
 @cache
@@ -401,13 +381,16 @@ def _horn_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _pad_rows(lams, n: int, m: int):
+    """The m rows, each zero-padded or cut to n parts; a part past n must be zero."""
     if len(lams) != m:
         raise ValueError(f"expected {m} rows, got {len(lams)}")
     rows = []
     for lam in lams:
         lam = tuple(lam)
         if len(lam) > n:
-            raise ValueError(f"row {lam!r} longer than n = {n}")
+            if any(lam[n:]):
+                raise ValueError(f"row {lam!r} longer than n = {n}")
+            lam = lam[:n]
         rows.append(pad_to(lam, n))
     return tuple(rows)
 
@@ -427,7 +410,7 @@ def _first_violated(masks, sums, offset: int) -> int | None:
 
 
 def member_cone(lams, n: int, m: int) -> MembershipVerdict:
-    """Decide cone membership for odd m by the rows of inequality_system(n, m), in its order.
+    """Decide cone membership for odd m by the rows of system_rows(n, m), in its order.
 
     Domain rows come first, so malformed rows always get a monotone/nonneg
     certificate: monotone (i, j) is violated when l_ij < l_i(j+1), nonneg i
@@ -512,10 +495,10 @@ def interior_point(n: int, m: int):
     r_(L-1) = r_L this leaves -2V = r_L (2n+1-r_L) + the sum over t = 3, 5, .., L-2
     of 2 r_(t-1) (n-r_t) + d_t (d_t+1), d_t = r_t - r_(t+1).  No term is negative,
     and all vanish only if r_L = 0 and then, downward, every r_t = 0: the all-empty
-    row, which inequality_system suppresses.  The identity for -2V was checked
+    row, which system_rows suppresses.  The identity for -2V was checked
     against Inequality.value on every horn row with n*m <= 30.
     """
     point = (tuple(range(n, 0, -1)),) * m
-    if any(iq.value(point) >= 0 for iq in inequality_system(n, m).inequalities):
+    if any(iq.value(point) >= 0 for iq in system_rows(n, m)):
         raise RuntimeError(f"the staircase tuple is not strictly interior for n={n}, m={m}")
     return point

@@ -237,7 +237,7 @@ def rational_member(lams, n: int) -> bool:
 
 @dataclass
 class Disagreement:
-    lams: tuple[Partition, ...]
+    types: tuple[Partition, ...]
     oracle: bool
     other: bool
     route: str
@@ -263,7 +263,8 @@ def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
     The grid is all m-tuples of partitions with at most n parts, each at most
     bound; the routes are those cone.routes lists for (n, m).  Disagreements
     are collected in grid order.  Raises ValueError unless n >= 1, m >= 3
-    and bound >= 0.
+    and bound >= 0, and UnsupportedLengthError when no route applies: even m
+    with n >= 2.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

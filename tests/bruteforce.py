@@ -338,8 +338,8 @@ def member_cone_by_value(lams, n: int, m: int) -> MembershipVerdict:
     """
     rows = [tuple(lam) for lam in lams]
     system = inequality_system(n, m)
-    domain = [iq for iq in system.inequalities if iq.origin in ("monotone", "nonneg")]
-    cone = [iq for iq in system.inequalities if iq.origin in ("trace", "horn")]
+    domain = [iq for iq in system if iq.origin in ("monotone", "nonneg")]
+    cone = [iq for iq in system if iq.origin in ("trace", "horn")]
     for iq in domain:
         if iq.value(rows) > 0:
             return MembershipVerdict(False, iq, note="domain")

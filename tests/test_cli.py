@@ -419,6 +419,7 @@ def test_decide_n1_needs_no_inequality_system(capsys, monkeypatch, n, m, types, 
         raise RuntimeError("the inequality system was built")
 
     monkeypatch.setattr(cone, "inequality_system", refuse)
+    monkeypatch.setattr(cone, "system_rows", refuse)
     code, out, _ = run(capsys, "decide", "-n", str(n), "-m", str(m), "--json", types)
     assert code == (0 if payload["member"] else 1)
     assert json.loads(out) == payload

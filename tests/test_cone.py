@@ -20,7 +20,9 @@ from kleinhorn.cone import (
     member_cone,
     member_single_row,
     system_json,
+    system_rows,
 )
+from kleinhorn.oracle import rational_member, witness_search
 from kleinhorn.partitions import partitions_in_box, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -143,18 +145,18 @@ def test_horn_index_set_rejects_even_or_tiny_m():
 
 def test_inequality_system_n1_m3_coefficients():
     system = inequality_system(1, 3)
-    mats = [(iq.origin, iq.coeffs) for iq in system.inequalities]
+    mats = [(iq.origin, iq.coeffs) for iq in system]
     assert ("trace", ((-1,), (1,), (-1,))) in mats
-    origins = [iq.origin for iq in system.inequalities]
+    origins = [iq.origin for iq in system]
     assert origins.count("horn") == 0  # only the all-empty tuple, suppressed
     assert origins.count("nonneg") == 3
     assert origins.count("monotone") == 0
-    assert system.suppressed_trivial == 1
+    assert len(system) == 4
 
 
 def test_inequality_system_n2_m3_coefficients():
     system = inequality_system(2, 3)
-    horn = [iq for iq in system.inequalities if iq.origin == "horn"]
+    horn = [iq for iq in system if iq.origin == "horn"]
     assert [iq.subsets for iq in horn] == [
         ((1,), (1,), (1,)),
         ((1,), (2,), (2,)),
@@ -163,10 +165,10 @@ def test_inequality_system_n2_m3_coefficients():
     assert horn[0].coeffs == ((-1, 0), (1, 0), (-1, 0))
     assert horn[1].coeffs == ((-1, 0), (0, 1), (0, -1))
     assert horn[2].coeffs == ((0, -1), (0, 1), (-1, 0))
-    trace = [iq for iq in system.inequalities if iq.origin == "trace"]
+    trace = [iq for iq in system if iq.origin == "trace"]
     assert len(trace) == 1 and trace[0].coeffs == ((-1, -1), (1, 1), (-1, -1))
-    assert [iq.origin for iq in system.inequalities].count("monotone") == 3
-    assert system.suppressed_trivial == 1
+    assert [iq.origin for iq in system].count("monotone") == 3
+    assert len(system) == 10
 
 
 def test_system_levels_nest():
@@ -174,8 +176,8 @@ def test_system_levels_nest():
     for n in (1, 2):
         outer = inequality_system(n, 5)
         inner = inequality_system(n, 3)
-        lvl1 = [iq for iq in outer.inequalities if iq.level == 1]
-        base = [iq for iq in inner.inequalities if iq.origin in ("trace", "horn")]
+        lvl1 = [iq for iq in outer if iq.level == 1]
+        base = [iq for iq in inner if iq.origin in ("trace", "horn")]
         assert len(lvl1) == len(base)
         for got, src in zip(lvl1, base):
             assert got.origin == src.origin
@@ -185,18 +187,23 @@ def test_system_levels_nest():
 
 @pytest.mark.parametrize("n,m", [(1, 9), (4, 5), (2, 9)])
 def test_equal_coefficient_rows_are_one_object(n, m):
-    rows = [row for iq in inequality_system(n, m).inequalities for row in iq.coeffs]
+    rows = [row for iq in inequality_system(n, m) for row in iq.coeffs]
     assert len({id(r) for r in rows}) == len(set(rows))
 
 
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 5), (2, 7), (1, 9), (4, 5), (2, 9)])
 def test_suppressed_trivial_is_one_per_level(n, m):
-    system = inequality_system(n, m)
-    assert system.suppressed_trivial == (m - 1) // 2
-    horn = [iq for iq in system.inequalities if iq.origin == "horn"]
+    levels = (m - 1) // 2
+    horn = [iq for iq in inequality_system(n, m) if iq.origin == "horn"]
     listed = sum(len(horn_index_set(n, length)) for length in range(3, m + 1, 2))
-    assert len(horn) == listed - system.suppressed_trivial
+    assert len(horn) == listed - levels
     assert all(any(map(any, iq.coeffs)) for iq in horn)
+    assert json.loads("".join(system_json(n, m)))["suppressed_trivial"] == levels
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 5), (3, 5), (1, 9)])
+def test_inequality_system_is_system_rows(n, m):
+    assert inequality_system(n, m) == tuple(system_rows(n, m))
 
 
 def test_inequality_system_rejects_even_m():
@@ -236,6 +243,26 @@ def test_member_cone_certificate_is_strictly_positive():
         verdict = member_cone(lams, 2, 3)
         if not verdict.member:
             assert verdict.certificate.value(lams) > 0
+
+
+@pytest.mark.parametrize(
+    "n,lams",
+    [
+        (2, [(2, 1, 0), (2, 1), (1,)]),
+        (2, [(0, 0, 0), (1, 1, 0), (2, 0)]),  # a non-member, as ";1,1;2"
+        (1, [(1, 0), (3, 0, 0), (1,)]),  # a non-member
+        (1, [(1, 0), (2,), (1, 0, 0)]),
+    ],
+)
+def test_zero_parts_past_n_are_read_as_absent(n, lams):
+    # trailing zeros are no parts: every route reads the row as its first n parts
+    trimmed = [lam[:n] for lam in lams]
+    assert member_cone(lams, n, 3) == member_cone(trimmed, n, 3)
+    if n == 1:
+        assert member_single_row(lams, 3) == member_single_row(trimmed, 3)
+    truth = member_cone(trimmed, n, 3).member
+    assert (witness_search(lams, n).chain is not None) == truth
+    assert rational_member(lams, n) == truth
 
 
 def test_member_cone_rejects_bad_shapes():
@@ -321,6 +348,8 @@ def test_member_single_row_certificate_positive():
 def test_member_single_row_rejects_wide_rows():
     with pytest.raises(ValueError, match="longer than n = 1"):
         member_single_row([(1, 1), (1,), (1,)], 3)
+    with pytest.raises(ValueError, match="longer than n = 1"):
+        member_single_row([(1, 0, 1), (1,), (1,)], 3)
     with pytest.raises(TypeError):
         member_single_row([1, (1,), (1,)], 3)
 
@@ -352,11 +381,17 @@ def test_interior_points_are_strict():
     for n, m in [(1, 3), (2, 3), (1, 5), (2, 5), (9, 3)]:
         point = interior_point(n, m)
         assert point == (tuple(range(n, 0, -1)),) * m
-        system = inequality_system(n, m)
-        assert all(iq.value(point) < 0 for iq in system.inequalities)
+        assert all(iq.value(point) < 0 for iq in system_rows(n, m))
         for row in point:
             assert all(x > y for x, y in zip(row, row[1:]))
             assert row[-1] > 0
+
+
+def test_interior_point_builds_no_system():
+    inequality_system.cache_clear()
+    interior_point(3, 5)
+    interior_point(4, 3)
+    assert inequality_system.cache_info().currsize == 0
 
 
 def test_ineqs_json_golden():
@@ -368,7 +403,13 @@ def test_ineqs_json_golden():
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in (3, 5, 7)] + [(1, 9), (2, 9), (5, 5)])
 def test_ineqs_json_writer_matches_dict_encoding(n, m):
-    assert "".join(system_json(n, m)) == to_json(inequality_system(n, m).to_json_dict())
+    reference = {
+        "n": n,
+        "m": m,
+        "suppressed_trivial": (m - 1) // 2,
+        "inequalities": [iq.to_json_dict() for iq in inequality_system(n, m)],
+    }
+    assert "".join(system_json(n, m)) == to_json(reference)
 
 
 def test_ineqs_json_shape():

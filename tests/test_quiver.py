@@ -293,7 +293,7 @@ def test_every_system_row_is_a_quiver_quantity(n, m):
     for _ in range(3):
         lams = [rng.choice(box) for _ in range(m)]
         w = weight_of_tuple(lams, n)
-        for iq in inequality_system(n, m).inequalities:
+        for iq in inequality_system(n, m):
             if iq.origin in ("trace", "horn"):
                 k = iq.level
                 inner = iq.subsets or (full,) * (m - 2 * k)
