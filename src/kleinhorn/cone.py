@@ -410,16 +410,18 @@ def _first_violated(masks, sums, offset: int) -> int | None:
 
 
 def member_cone(lams, n: int, m: int) -> MembershipVerdict:
-    """Decide cone membership for odd m by the rows of system_rows(n, m), in its order.
+    """Decide cone membership for odd m by the rows of system_rows(n, m).
 
-    Domain rows come first, so malformed rows always get a monotone/nonneg
-    certificate: monotone (i, j) is violated when l_ij < l_i(j+1), nonneg i
-    when l_in < 0.  Level k = 0, 1, ... is then the level-0 check of the
-    (n, m - 2k) system on rows k+1 .. m-k.  Each row's subset sums are taken
-    once, of the entries scaled to integers by the lcm of their denominators
-    (every row is linear and homogeneous, so a positive scale keeps each sign
-    and the first violated row), and a row's value is m - 2k list lookups.
-    The first violated row is the certificate, equal to the system's row.
+    The domain rows are checked first, though system_rows yields them last,
+    so malformed rows always get a monotone/nonneg certificate: monotone
+    (i, j) is violated when l_ij < l_i(j+1), nonneg i when l_in < 0.  Then
+    each level's trace row and Horn rows follow in system order: level
+    k = 0, 1, ... is the level-0 check of the (n, m - 2k) system on rows
+    k+1 .. m-k.  Each row's subset sums are taken once, of the entries
+    scaled to integers by the lcm of their denominators (every row is linear
+    and homogeneous, so a positive scale keeps each sign and the first
+    violated row), and a row's value is m - 2k list lookups.  The first
+    violated row is the certificate, equal to the system's row.
     """
     rows = _pad_rows(lams, n, m)
     _horn_masks(n, m)  # horn_index_set checks n and m

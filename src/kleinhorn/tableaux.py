@@ -2,12 +2,12 @@
 
 Everything here is integer counting — no symmetric-function algebra, no
 floats.  One walk lists every lattice filling of a skew shape once, bucketed
-by content; every Littlewood-Richardson coefficient is read from that list,
-which is the only memo.  The walk chooses how many of each letter a row
-holds, not the letter of each cell: column strictness, the lattice word and
-the letter range of a row are conditions on those counts (see
-lr_complements), so its depth is rows times letters and a part of any size
-costs what a short one does.  Partitions are canonical tuples.
+by content; every coefficient, Kostka numbers included, is read from that
+walk, and its listings are the only memo.  The walk chooses how many of
+each letter a row holds, not the letter of each cell: column strictness, the
+lattice word and the letter range of a row are conditions on those counts
+(see lr_complements), so its depth is rows times letters and a part of any
+size costs what a short one does.  Partitions are canonical tuples.
 """
 
 from __future__ import annotations
@@ -37,67 +37,22 @@ def lr_coefficient(outer: Partition, left: Partition, right: Partition) -> int:
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
     """Count semistandard tableaux of the given shape and content.
 
-    The content is any finite sequence of nonnegative integers; letters are
-    added one at a time, each contributing a horizontal strip.
+    The content is any finite sequence of nonnegative integers; the count
+    ignores its order, so the largest part a is peeled first (fewer states).
+    Each state nu passes its weight to every rho of lr_complements(nu, (a,)),
+    a horizontal strip nu/rho by Pieri's rule, read uncached as nu shrinks.
     """
     shape = normalize(shape)
     content = tuple(content)
     if any(a < 0 for a in content):
         raise ValueError(f"content must be nonnegative: {content!r}")
-    if sum(content) != sum(shape):
-        return 0
-    state: dict[Partition, int] = {(): 1}
-    for a in content:
-        nxt: dict[Partition, int] = defaultdict(int)
-        for mu, w in state.items():
-            for tau in _strip_extensions(mu, a, shape):
-                nxt[tau] += w
-        if not nxt:
-            return 0
-        state = dict(nxt)
-    return state.get(shape, 0)
-
-
-def _strip_extensions(mu: Partition, size: int, bound: Partition) -> list[Partition]:
-    """Partitions tau inside bound with tau/mu a horizontal strip of the given size.
-
-    Rows are chosen top to bottom, each length in increasing order, with an
-    explicit stack of candidate ranges, so results come out in lexicographic
-    order.  A horizontal strip keeps tau_i <= mu_(i-1), so rows below the
-    first empty row of mu stay empty and are not searched, and the last row
-    searched takes what is left of the strip.
-    """
-    rows = min(len(bound), len(mu) + 1)
-    if rows == 0:
-        return [()] if size == 0 else []
-    mup = mu + (0,) * (rows - len(mu))
-    out: list[Partition] = []
-    acc = [0] * rows  # acc[i]: the chosen length of row i
-
-    def lengths(i: int, left: int):
-        """Lengths of row i when rows i and below still hold left strip cells."""
-        lo = mup[i]
-        hi = min(bound[i], lo + left, mup[i - 1] if i else lo + left)
-        return iter(range(lo + left if i == rows - 1 else lo, hi + 1))
-
-    rem = [size] * rows  # rem[i]: strip cells still to place in rows i and below
-    stack = [lengths(0, size)]
-    while stack:
-        i = len(stack) - 1
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            continue
-        acc[i] = v
-        if i + 1 < rows:
-            rem[i + 1] = rem[i] - (v - mup[i])
-            stack.append(lengths(i + 1, rem[i + 1]))
-        else:
-            t = tuple(acc)
-            while t and t[-1] == 0:
-                t = t[:-1]
-            out.append(t)
-    return out
+    state: dict[Partition, int] = {shape: 1} if sum(content) == sum(shape) else {}
+    for a in sorted(filter(None, content), reverse=True):
+        prev, state = state, defaultdict(int)
+        for nu, w in prev.items():
+            for rho, c in lr_complements.__wrapped__(nu, (a,)):
+                state[rho] += w * c
+    return state.get((), 0)
 
 
 @cache

@@ -3,7 +3,7 @@
 These deliberately take different routes from the production code: tableaux
 are enumerated cell by cell in forward reading order with a final lattice
 check, Kostka numbers come from direct semistandard fillings rather than
-strip peeling, and chained coefficients from explicit nested sums.  The Horn index set is
+a chain of Pieri strips, and chained coefficients from explicit nested sums.  The Horn index set is
 the plain filter over every subset tuple, with every row rebuilt per tuple, or a
 depth-first search over all m positions with one chain count per tuple, and cone
 membership evaluates each inequality's matrix with Inequality.value.  The

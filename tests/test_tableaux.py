@@ -148,6 +148,25 @@ def test_kostka_frozen_values():
     assert kostka_number((10**20,), (10**20,)) == 1  # the last row takes what is left
 
 
+def test_kostka_frozen_values_beyond_the_grid():
+    # beyond the six-box grid: long contents, equal parts and an interior zero part
+    assert kostka_number((8, 7, 6, 5, 4, 3, 2, 1), (1,) * 36) == 29258366996258488320
+    assert kostka_number((60, 40, 20), (20,) * 6) == 36256671
+    assert kostka_number((12, 12, 12, 12), (4,) * 12) == 429982575
+    assert kostka_number((4, 3, 2, 1), (2, 0, 3, 1, 4)) == 1
+    staircase = (10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
+    # largest part first, in either content order: a few states, not a 55-cell walk each
+    assert kostka_number(staircase, staircase) == kostka_number(staircase, staircase[::-1]) == 1
+
+
+def test_kostka_leaves_the_lr_memo_alone():
+    # nu shrinks every step, so no listing recurs in a call: the walk skips the memo
+    before = lr_complements.cache_info()
+    assert kostka_number((5, 3, 2, 1), (2, 1, 0, 3, 2, 3)) == 20
+    assert kostka_number((3, 1), (1, 1, 1)) == 0  # sizes differ
+    assert lr_complements.cache_info() == before
+
+
 def test_kostka_against_direct_ssyt_enumeration():
     for lam in _all_partitions_up_to(6):
         for content in product(range(4), repeat=3):
@@ -173,7 +192,9 @@ def test_kostka_content_permutation_invariance(perm, data):
     )
     content = list(lam) + [0] * (4 - len(lam))
     permuted = tuple(content[i] for i in perm)
-    assert kostka_number(lam, permuted) == kostka_number(lam, tuple(content))
+    # kostka_number peels the largest part first whatever the order, so the
+    # invariance itself is checked against the cell-by-cell count
+    assert kostka_number(lam, permuted) == kostka_number(lam, tuple(content)) == ssyt_count(lam, permuted)
 
 
 def test_kostka_rejects_negative_content():
