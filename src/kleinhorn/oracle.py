@@ -13,8 +13,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
-from operator import sub
+from itertools import accumulate, islice, product
+from operator import itemgetter, sub
 
 from .partitions import (
     Partition,
@@ -60,8 +60,7 @@ def _least_partner(lam: Partition, mu: Partition) -> Partition:
     It is the row lengths of lam/mu sorted in decreasing order; see fact (b)
     of witness_search.
     """
-    rows = sorted(map(sub, lam, mu + (0,) * (len(lam) - len(mu))), reverse=True)
-    return tuple(rows[: len(rows) - rows.count(0)])
+    return tuple(sorted(filter(None, map(sub, lam, mu + (0,) * (len(lam) - len(mu)))), reverse=True))
 
 
 def _first_entries(lam: Partition, nxt: Partition, lo: int, hi: int):
@@ -124,8 +123,11 @@ def witness_search(lams, n: int) -> SearchOutcome:
         is semistandard, because column tops rise to the right, and has
         content rho'; so some constituent dominates rho' and thus equals it.
         Hence rho is a constituent, every constituent dominates it, and lex
-        order extends dominance.  Once mu(m-1) fits inside lam(m), mu(m) is
-        read off in this closed form.
+        order extends dominance.  So rho is the first entry of the listing
+        of lam/mu, and every state takes its first candidate in this closed
+        form, with no walk: once mu(m-1) fits inside lam(m), mu(m) is read
+        off it, and each earlier state tries rho first and walks its listing,
+        from the second entry on, only when the search comes back to it.
     (c) Which mu(0) to try.  A feasible mu1 (one that extends to mu(1..m))
         fits inside lam(1) and, by (a), inside lam(2).  By the symmetry
         c^lam_{mu,nu} = c^lam_{nu,mu} and (b), the least mu0 linked to mu1
@@ -169,25 +171,33 @@ def witness_search(lams, n: int) -> SearchOutcome:
     chain: list[Partition] = []  # mu(0..k) chosen so far
     # s_0..s_m of fact (e): even i bound |mu(0)| below, odd i above
     s = list(accumulate(map(sum, lams), lambda prev, size: size - prev, initial=0))
-    # stack[k] yields the remaining candidates for mu(k), in canonical order
+    # stack[k] holds the remaining candidates for mu(k), in canonical order.  A
+    # state enters as its pair (lam, mu) and its least partner is tried at once;
+    # the pair becomes the rest of its listing only when the search comes back.
     stack = [_first_entries(lams[0], lams[1], max(-x for x in s[::2]), min(s[1::2]))]
+    nxt = None  # a candidate for mu(len(chain)) not yet tried
     while stack:
-        nxt = next(stack[-1], None)
         if nxt is None:
-            stack.pop()
-            if chain:
-                dead.add((len(chain), chain.pop()))
+            top = stack[-1]
+            if type(top) is tuple:
+                stack[-1] = top = islice(map(itemgetter(0), lr_complements(*top)), 1, None)
+            nxt = next(top, None)
+            if nxt is None:
+                stack.pop()
+                if chain:
+                    dead.add((len(chain), chain.pop()))
+                continue
+        pos = len(chain) + 1  # the state (pos, nxt) picks mu(pos) from lams[pos - 1]
+        if not contains(lams[pos - 1], nxt) or (pos, nxt) in dead:
+            nxt = None
             continue
         chain.append(nxt)
-        pos = len(chain)  # the state (pos, nxt) picks mu(pos) from lams[pos - 1]
-        if not contains(lams[pos - 1], nxt) or (pos, nxt) in dead:
-            chain.pop()
-            continue
         explored += 1
         if pos == m:
             chain.append(_least_partner(lams[-1], nxt))
             return SearchOutcome(WitnessChain(tuple(chain)), explored)
-        stack.append(nu for nu, _ in lr_complements(lams[pos - 1], nxt))
+        stack.append((lams[pos - 1], nxt))
+        nxt = _least_partner(lams[pos - 1], nxt)
     return SearchOutcome(None, explored)
 
 
@@ -201,26 +211,32 @@ def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
 
     Every row must be weakly decreasing and nonnegative with at most n nonzero
     parts (trailing zeros do not count); scale is the least common multiple of
-    all denominators (1 for integer rows).  Int parts are kept as they are and
-    any other part is read as a Fraction, so integer rows are scaled with int
-    arithmetic only.  Raises ValueError unless n >= 1.
+    the denominators of the parts that are not ints (1 when there are none).
+    Int parts are kept as they are and any other part is read as a Fraction.
+    Each row is checked and stripped in one pass; a second pass scales the
+    rows only when some part is not an int.  A row with too many parts is
+    reported once every row has passed the order check.  Raises ValueError
+    unless n >= 1.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rows = []
+    wide = None  # the message for the first row with more than n parts
     for k, lam in enumerate(lams, 1):
         row = tuple(x if type(x) is int else Fraction(x) for x in lam)
         if not is_partition(row):
             raise ValueError(f"row {k} ({format_partition(row)!r}) is not weakly decreasing and nonnegative")
-        rows.append(row)
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    ints = []
-    for k, row in enumerate(rows, 1):
-        part = normalize(tuple(x.numerator * (scale // x.denominator) for x in row))
-        if len(part) > n:
-            raise ValueError(f"row {k} ({format_partition(row)!r}) has more than n = {n} parts")
-        ints.append(part)
-    return ints, scale
+        size = len(row) - row.count(0)
+        if size > n and wide is None:
+            wide = f"row {k} ({format_partition(row)!r}) has more than n = {n} parts"
+        rows.append(row[:size])
+    if wide is not None:
+        raise ValueError(wide)
+    denominators = [x.denominator for row in rows for x in row if type(x) is not int]
+    if not denominators:
+        return rows, 1
+    scale = math.lcm(*denominators)
+    return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows], scale
 
 
 def rational_member(lams, n: int) -> bool:

@@ -378,10 +378,12 @@ def test_members_closed_under_sum_and_scaling(data):
 
 def test_interior_points_are_strict():
     # n = 9: a strictly decreasing row of nine parts has a part above 8
-    for n, m in [(1, 3), (2, 3), (1, 5), (2, 5), (9, 3)]:
+    for (n, m), size in {(1, 3): 4, (2, 3): 10, (1, 5): 10, (2, 5): 42, (9, 3): 37182}.items():
         point = interior_point(n, m)
         assert point == (tuple(range(n, 0, -1)),) * m
-        assert all(iq.value(point) < 0 for iq in system_rows(n, m))
+        # the largest row value is -1, over a system of the given size
+        values = [iq.value(point) for iq in system_rows(n, m)]
+        assert max(values) == -1 and len(values) == size
         for row in point:
             assert all(x > y for x, y in zip(row, row[1:]))
             assert row[-1] > 0

@@ -12,12 +12,14 @@ from kleinhorn.cone import member_cone
 from kleinhorn.oracle import (
     WitnessChain,
     chain_is_valid,
+    clear_denominators,
     cross_check,
     rational_member,
     witness_chain,
     witness_search,
 )
 from kleinhorn.partitions import partitions_in_box
+from kleinhorn.tableaux import lr_complements
 
 
 def test_witness_frozen_examples():
@@ -128,6 +130,63 @@ def test_witness_search_cost_pins():
     out = witness_search([(95, 80, 70, 63), (38, 27, 21, 2), (38, 38, 30, 2), (35, 25, 16, 2), (34, 20, 13, 5)], 4)
     assert out.chain.mus == ((63, 63, 62, 62), (32, 17, 8, 1), (14, 13, 3), (35, 25, 16, 2), (), (34, 20, 13, 5))
     assert out.explored == 22
+
+
+def test_witness_search_walk_pins():
+    # fact (b) gives each state's first candidate; a listing is walked only on backtrack
+    pins = [
+        ([(60, 60, 60), (1,), (90, 90, 1)], 3, 0),
+        ([(60, 60, 60, 60), (60, 60, 60, 60), ()], 4, 0),
+        ([(30, 26, 12), (27, 18, 11), (29, 26, 17), (20, 7)], 3, 4),
+        ([(30, 24, 22), (23, 22, 11), (29, 25, 17), (11, 5, 4)], 3, 1),
+        ([(95, 80, 70, 63), (38, 27, 21, 2), (38, 38, 30, 2), (35, 25, 16, 2), (34, 20, 13, 5)], 4, 19),
+    ]
+    for lams, n, walks in pins:
+        lr_complements.cache_clear()
+        witness_search(lams, n)
+        assert lr_complements.cache_info().misses == walks, lams
+    # lam_i = mu_(i-1) + mu_i with mu_i = i % 7: every least partner extends
+    lams = [((i - 1) % 7 + i % 7,) for i in range(1, 1201)]
+    lr_complements.cache_clear()
+    out = witness_search(lams, 1)
+    assert out.chain.mus == tuple((i % 7,) if i % 7 else () for i in range(1201))
+    assert out.explored == 1200 and lr_complements.cache_info().misses == 0
+
+
+def test_clear_denominators_pins():
+    # int rows: scale 1, canonical rows, trailing zeros past n not counted
+    assert clear_denominators([(3, 2, 1), (2,), ()], 3) == ([(3, 2, 1), (2,), ()], 1)
+    assert clear_denominators([(3, 2, 1, 0, 0), (2, 0), (0,)], 3) == ([(3, 2, 1), (2,), ()], 1)
+    assert clear_denominators([(Fraction(7, 3), 0, 0, 0), ()], 1) == ([(7,), ()], 3)
+    # mixed int and Fraction rows; Fraction(4, 2) is the int 2
+    rows, scale = clear_denominators([(Fraction(1, 2), Fraction(1, 3)), (1,), (2, 1)], 2)
+    assert (rows, scale) == ([(3, 2), (6,), (12, 6)], 6)
+    rows, scale = clear_denominators([(Fraction(4, 2), 1), (Fraction(3, 1),)], 2)
+    assert (rows, scale) == ([(2, 1), (3,)], 1)
+    assert all(type(x) is int for row in rows for x in row)
+    # a 20-digit denominator
+    big = 10**20 + 1
+    assert clear_denominators([(Fraction(1, big),), (5,)], 1) == ([(1,), (5 * big,)], big)
+
+
+@pytest.mark.parametrize(
+    "lams,n,message",
+    [
+        ([(1,)], 0, "need n >= 1, got 0"),
+        ([(1,), (1, 2)], 2, "row 2 ('1,2') is not weakly decreasing and nonnegative"),
+        ([(1,), (2, -1)], 2, "row 2 ('2,-1') is not weakly decreasing and nonnegative"),
+        ([(Fraction(1, 2), Fraction(3, 4))], 2, "row 1 ('1/2,3/4') is not weakly decreasing and nonnegative"),
+        ([(3, 2, 1)], 2, "row 1 ('3,2,1') has more than n = 2 parts"),
+        # the row as given, not scaled
+        ([(Fraction(3, 2), Fraction(1, 2), Fraction(1, 4))], 2, "row 1 ('3/2,1/2,1/4') has more than n = 2 parts"),
+        # every row is checked for order before any for its length
+        ([(3, 2, 1), (1, 2)], 2, "row 2 ('1,2') is not weakly decreasing and nonnegative"),
+    ],
+)
+def test_clear_denominators_messages(lams, n, message):
+    with pytest.raises(ValueError) as err:
+        clear_denominators(lams, n)
+    assert str(err.value) == message
 
 
 def test_witness_rejects_bad_input():

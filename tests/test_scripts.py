@@ -56,20 +56,3 @@ def test_run_crosscheck_unsupported_case_exits_3():
         "only the witness search covers this case\n"
     )
 
-
-def test_find_interior_points_default_pairs():
-    proc = run_script("find_interior_points.py")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "n=1 m=3: [1 ; 1 ; 1]  (max margin -1, 4 inequalities)\n"
-        "n=2 m=3: [2,1 ; 2,1 ; 2,1]  (max margin -1, 10 inequalities)\n"
-        "n=1 m=5: [1 ; 1 ; 1 ; 1 ; 1]  (max margin -1, 10 inequalities)\n"
-        "n=2 m=5: [2,1 ; 2,1 ; 2,1 ; 2,1 ; 2,1]  (max margin -1, 42 inequalities)\n"
-    )
-
-
-def test_find_interior_points_n9():
-    proc = run_script("find_interior_points.py", "--pairs", "9,3")
-    assert proc.returncode == 0, proc.stderr
-    row = "9,8,7,6,5,4,3,2,1"
-    assert proc.stdout == f"n=9 m=3: [{row} ; {row} ; {row}]  (max margin -1, 37182 inequalities)\n"
