@@ -41,9 +41,11 @@ from .quiver import (
     weight_pairing,
 )
 from .cone import (
+    CrossCheckReport,
     Inequality,
     MembershipVerdict,
     UnsupportedLengthError,
+    cross_check,
     horn_index_set,
     inequality_system,
     interior_point,
@@ -52,11 +54,9 @@ from .cone import (
     system_rows,
 )
 from .oracle import (
-    CrossCheckReport,
     SearchOutcome,
     WitnessChain,
     chain_is_valid,
-    cross_check,
     rational_member,
     witness_chain,
     witness_search,

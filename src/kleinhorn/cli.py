@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import cone
-from .oracle import clear_denominators, cross_check, witness_search
+from .oracle import clear_denominators, witness_search
 from .partitions import (
     format_partition,
     format_subset,
@@ -170,7 +170,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    report = cross_check(args.n, args.m, args.bound)
+    report = cone.cross_check(args.n, args.m, args.bound)
     if args.json:
         print(to_json(dataclasses.asdict(report)))
     else:

@@ -5,23 +5,28 @@ the union, over recursion levels k = 0, 1, ..., of a trace inequality and
 one inequality per qualifying subset tuple of the inner window
 (positions 1+k .. m-k), plus weak-decrease and nonnegativity constraints.
 Even m has no such description here; callers are directed to the oracle.
+cross_check, after routes, compares the witness-chain oracle with every
+route on a full grid; the oracle imports nothing from this module.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress
+from itertools import compress, product
 from math import lcm
 from operator import getitem
 
+from .oracle import witness_chain
 from .partitions import (
+    Partition,
     adjusted_conjugate,
     format_subset,
     is_partition,
     normalize,
     pad_to,
+    partitions_in_box,
     subsets_of_range,
     to_json,
 )
@@ -457,6 +462,61 @@ def routes(n: int, m: int):
     if m % 2 == 1:
         found.append(("inequality", lambda lams: member_cone(lams, n, m)))
     return tuple(found)
+
+
+@dataclass
+class Disagreement:
+    types: tuple[Partition, ...]
+    oracle: bool
+    other: bool
+    route: str
+
+
+@dataclass
+class CrossCheckReport:
+    n: int
+    m: int
+    bound: int
+    total: int
+    routes: tuple[str, ...]
+    disagreements: list[Disagreement] = field(default_factory=list)
+
+    @property
+    def clean(self) -> bool:
+        return not self.disagreements
+
+
+def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
+    """Compare the oracle against every available route on a full grid.
+
+    The grid is all m-tuples of partitions with at most n parts, each at most
+    bound; the routes are those that routes(n, m), above, lists.
+    Disagreements are collected in grid order.  Raises ValueError unless n >= 1, m >= 3 and
+    bound >= 0, and UnsupportedLengthError when no route applies: even m
+    with n >= 2.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if m < 3:
+        raise ValueError(f"need m >= 3, got {m}")
+    if bound < 0:
+        raise ValueError(f"need bound >= 0, got {bound}")
+    checks = routes(n, m)
+    if not checks:
+        raise UnsupportedLengthError(
+            f"no finite description to compare against for n={n}, m={m}; "
+            "only the witness search covers this case"
+        )
+    grid = tuple(partitions_in_box(n, bound))
+    found: list[Disagreement] = []
+    for lams in product(grid, repeat=m):
+        truth = witness_chain(lams, n) is not None
+        for route, decide in checks:
+            got = decide(lams).member
+            if got != truth:
+                found.append(Disagreement(lams, truth, got, route))
+    names = tuple(route for route, _ in checks)
+    return CrossCheckReport(n, m, bound, len(grid) ** m, names, found)
 
 
 def member_single_row(lams, m: int) -> MembershipVerdict:

@@ -4,16 +4,17 @@ A tuple of integer partition types admits the required long exact sequence
 iff some chain of partitions links consecutive positions through nonzero
 Littlewood-Richardson coefficients.  The search below decides exactly that,
 with global memoization of dead states; it never consults the inequality
-machinery, which is what makes cross-checking meaningful.
+machinery, which is what makes cross-checking meaningful.  The harness that
+compares it with the closed routes, cross_check, lives in cone beside routes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, islice
 from operator import itemgetter, sub
 
 from .partitions import (
@@ -22,7 +23,6 @@ from .partitions import (
     format_partition,
     is_partition,
     normalize,
-    partitions_in_box,
 )
 from .tableaux import lr_coefficient, lr_complements
 
@@ -249,62 +249,3 @@ def rational_member(lams, n: int) -> bool:
     """
     rows, _ = clear_denominators(lams, n)
     return witness_chain(rows, n) is not None
-
-
-@dataclass
-class Disagreement:
-    types: tuple[Partition, ...]
-    oracle: bool
-    other: bool
-    route: str
-
-
-@dataclass
-class CrossCheckReport:
-    n: int
-    m: int
-    bound: int
-    total: int
-    routes: tuple[str, ...]
-    disagreements: list[Disagreement] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.disagreements
-
-
-def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
-    """Compare the oracle against every available route on a full grid.
-
-    The grid is all m-tuples of partitions with at most n parts, each at most
-    bound; the routes are those cone.routes lists for (n, m).  Disagreements
-    are collected in grid order.  Raises ValueError unless n >= 1, m >= 3
-    and bound >= 0, and UnsupportedLengthError when no route applies: even m
-    with n >= 2.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
-    if bound < 0:
-        raise ValueError(f"need bound >= 0, got {bound}")
-    # imported here: the comparison harness may use the inequality modules,
-    # the decision procedure above must not
-    from .cone import UnsupportedLengthError, routes
-
-    checks = routes(n, m)
-    if not checks:
-        raise UnsupportedLengthError(
-            f"no finite description to compare against for n={n}, m={m}; "
-            "only the witness search covers this case"
-        )
-    grid = tuple(partitions_in_box(n, bound))
-    found: list[Disagreement] = []
-    for lams in product(grid, repeat=m):
-        truth = witness_chain(lams, n) is not None
-        for route, decide in checks:
-            got = decide(lams).member
-            if got != truth:
-                found.append(Disagreement(lams, truth, got, route))
-    names = tuple(route for route, _ in checks)
-    return CrossCheckReport(n, m, bound, len(grid) ** m, names, found)

@@ -14,12 +14,13 @@ from itertools import product
 from bruteforce import dominates, unit_coefficient_triples, partitions_of
 
 from kleinhorn.cone import (
+    cross_check,
     horn_index_set,
     inequality_system,
     interior_point,
     member_single_row,
 )
-from kleinhorn.oracle import chain_is_valid, cross_check, witness_search
+from kleinhorn.oracle import chain_is_valid, witness_search
 from kleinhorn.partitions import (
     conjugate,
     normalize,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 from fractions import Fraction
 from itertools import product, zip_longest
@@ -8,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import witness_search_unfiltered
-from kleinhorn.cone import member_cone
+from kleinhorn import oracle
+from kleinhorn.cone import cross_check, member_cone, member_single_row
 from kleinhorn.oracle import (
     WitnessChain,
     chain_is_valid,
     clear_denominators,
-    cross_check,
     rational_member,
     witness_chain,
     witness_search,
@@ -243,7 +245,7 @@ def test_rational_scaling_invariance(vals, q):
 
 
 def test_cross_check_clean_grids():
-    for n, m, bound in [(1, 3, 3), (2, 3, 2), (1, 5, 2), (1, 4, 3)]:
+    for n, m, bound in [(1, 3, 3), (2, 3, 2), (1, 5, 2), (1, 4, 3), (1, 6, 2)]:
         report = cross_check(n, m, bound)
         assert report.clean, report.disagreements
         assert report.total == (len(list(partitions_in_box(n, bound)))) ** m
@@ -266,6 +268,27 @@ def test_cross_check_even_m_wide_rows_unroutable():
         cross_check(1, 2, 1)
     assert str(caught.value) == "need m >= 3, got 2"
     assert not isinstance(caught.value, UnsupportedLengthError)
+
+
+def test_oracle_imports_nothing_from_cone():
+    # at any depth: a function-local import would couple the routes as surely
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[-1] == "cone" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[-1] != "cone"
+            assert not any(alias.name == "cone" for alias in node.names)
+
+
+def test_closed_routes_never_consult_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search was consulted")
+
+    monkeypatch.setattr(oracle, "witness_search", refuse)
+    assert member_cone([(2, 1), (2, 1), (), (), ()], 2, 5).member
+    assert not member_cone([(2, 1), (3,), (), (), ()], 2, 5).member
+    assert member_single_row([(3,), (3,), (1,), (2,)], 4).member
+    assert not member_single_row([(1,), (3,), (1,), ()], 4).member
 
 
 def test_oracle_matches_cone_on_mixed_grid():
