@@ -21,6 +21,7 @@ from .partitions import (
     pad_to,
     parse_partition,
     parse_rational_parts,
+    parse_rational_rows,
     partition_of_subset,
     partitions_in_box,
     subpartitions,
@@ -58,6 +59,7 @@ from .oracle import (
     WitnessChain,
     chain_is_valid,
     rational_member,
+    search_canonical,
     witness_chain,
     witness_search,
 )

@@ -16,13 +16,13 @@ import sys
 from fractions import Fraction
 
 from . import cone
-from .oracle import clear_denominators, witness_search
+from .oracle import clear_denominators, search_canonical
 from .partitions import (
     format_partition,
     format_subset,
     parse_int_parts,
     parse_partition,
-    parse_rational_parts,
+    parse_rational_rows,
     to_json,
 )
 from .tableaux import gen_lr, kostka_number, lr_coefficient
@@ -40,11 +40,12 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _parse_rows(text: str, n: int, m: int):
-    """Semicolon-separated rational rows: (integer rows, scale).
+    """Semicolon-separated rational rows: (canonical integer rows, scale).
 
-    Checks the row count against m and each row's shape against n.
+    Checks the row count against m and each row's shape against n, once:
+    the rows returned go to search_canonical as they are.
     """
-    rows = tuple(parse_rational_parts(chunk) for chunk in text.split(";"))
+    rows = parse_rational_rows(text)
     if len(rows) != m:
         raise ValueError(f"expected m = {m} rows, got {len(rows)}")
     return clear_denominators(rows, n)
@@ -113,7 +114,7 @@ def _cmd_decide(args) -> int:
                 UNSUPPORTED,
             )
     if args.method in ("oracle", "both"):
-        outcome = witness_search(ints, args.n)
+        outcome = search_canonical(ints)
 
     member = outcome.chain is not None if outcome is not None else ineq_verdict.member
     if ineq_verdict is not None and outcome is not None and ineq_verdict.member != member:
@@ -155,7 +156,7 @@ def _cmd_witness(args) -> int:
     lams, scale = _parse_rows(args.types, args.n, args.m)
     if scale != 1:
         return _fail("witness search needs integer partitions; use decide for rational input", USAGE)
-    outcome = witness_search(lams, args.n)
+    outcome = search_canonical(lams)
     if args.json:
         if outcome.chain is not None:
             print(to_json({"exists": True, "chain": outcome.chain.mus}))

@@ -525,24 +525,36 @@ def member_single_row(lams, m: int) -> MembershipVerdict:
     lams is m >= 3 rows of at most one part each, read by _pad_rows as
     member_cone reads its rows.  The tuple belongs to the cone iff every
     alternating window sum v_i - v_(i+1) + ... + v_j with i <= j of equal parity
-    is nonnegative; works for every m >= 3, odd or even.  A violated window
-    (i, j) is returned as an origin-"alt" certificate in <= 0 form: -1, +1, -1,
-    ... on rows i..j and 0 on every other row.
+    is nonnegative; works for every m >= 3, odd or even.  The first violated
+    window (i, j), in (i, j) order, is returned as an origin-"alt" certificate
+    in <= 0 form: -1, +1, -1, ... on rows i..j and 0 on every other row.
+
+    Linear time: with r_0 = 0 and r_k = v_k - r_(k-1), the window (i, j) sums
+    to r_j + r_(i-1).  So i starts a violated window iff the least r_j over
+    j >= i of i's parity is below -r_(i-1).  One backward pass keeps that
+    least value for each parity and finds the first such i; a forward scan
+    from it finds j.
     """
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
-    vals = [v for (v,) in _pad_rows(lams, 1, m)]
-    for i in range(1, m + 1):
-        acc = 0
-        sign = 1
-        for j in range(i, m + 1):
-            acc += sign * vals[j - 1]
-            if (j - i) % 2 == 0 and acc < 0:
-                window = tuple(((-1) ** (r - i + 1) if i <= r <= j else 0,) for r in range(1, m + 1))
-                cert = Inequality(window, "alt", position=(i, j))
-                return MembershipVerdict(False, cert, note=f"window ({i},{j})")
-            sign = -sign
-    return MembershipVerdict(True, None, note="all alternating windows hold")
+    r = [0]
+    for (v,) in _pad_rows(lams, 1, m):
+        r.append(v - r[-1])
+    low, other = r[m], r[m - 1]  # least r_j over j >= i of i's parity, and of the other
+    first = None
+    for i in range(m, 0, -1):
+        if r[i] < low:
+            low = r[i]
+        if low + r[i - 1] < 0:
+            first = i
+        low, other = other, low
+    if first is None:
+        return MembershipVerdict(True, None, note="all alternating windows hold")
+    i = first
+    j = next(j for j in range(i, m + 1, 2) if r[j] + r[i - 1] < 0)
+    window = ((0,),) * (i - 1) + ((-1,), (1,)) * ((j - i) // 2) + ((-1,),) + ((0,),) * (m - j)
+    cert = Inequality(window, "alt", position=(i, j))
+    return MembershipVerdict(False, cert, note=f"window ({i},{j})")
 
 
 def interior_point(n: int, m: int):

@@ -14,12 +14,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
-from operator import itemgetter, sub
+from itertools import accumulate, chain, islice
+from operator import itemgetter, le, sub
 
 from .partitions import (
     Partition,
-    contains,
     format_partition,
     is_partition,
     normalize,
@@ -58,7 +57,7 @@ def _least_partner(lam: Partition, mu: Partition) -> Partition:
     """The lex-least nu with a nonzero coefficient against lam and mu (mu inside lam).
 
     It is the row lengths of lam/mu sorted in decreasing order; see fact (b)
-    of witness_search.
+    of search_canonical.
     """
     return tuple(sorted(filter(None, map(sub, lam, mu + (0,) * (len(lam) - len(mu)))), reverse=True))
 
@@ -67,7 +66,7 @@ def _first_entries(lam: Partition, nxt: Partition, lo: int, hi: int):
     """The distinct _least_partner(lam, mu1) of size lo..hi over mu1 inside lam and nxt, ascending.
 
     A best-first walk down from the intersection of lam and nxt; see facts
-    (c), (d) and (e) of witness_search.  A node is d, the row lengths of
+    (c), (d) and (e) of search_canonical.  A node is d, the row lengths of
     lam/mu1 padded to len(lam) rows, with the lowest row j it may still take
     a box from: boxes leave the rows bottom row first, so each mu1 is reached
     once.  The key of d has size sum(d), and each step down adds one, so the
@@ -97,7 +96,26 @@ def _first_entries(lam: Partition, nxt: Partition, lo: int, hi: int):
 
 
 def witness_search(lams, n: int) -> SearchOutcome:
+    """search_canonical on lams read as partitions with at most n parts each.
+
+    Each row is normalized (trailing zeros dropped); a row that is not a
+    partition, fewer than three rows, or a row with more than n parts raises
+    ValueError, in that order.
+    """
+    lams = tuple(normalize(l) for l in lams)
+    if len(lams) < 3:
+        raise ValueError(f"need at least three partitions, got {len(lams)}")
+    for lam in lams:
+        if len(lam) > n:
+            raise ValueError(f"partition {lam!r} has more than n = {n} parts")
+    return search_canonical(lams)
+
+
+def search_canonical(lams) -> SearchOutcome:
     """Depth-first search for the canonically smallest witness chain.
+
+    lams are canonical partitions, as normalize and clear_denominators return
+    them; they are not checked again, apart from their count (at least three).
 
     The chain mu(0..m) is lex-smallest: its mu(0) is the least one that extends
     to a whole chain, and each later mu(i) is the first entry of the
@@ -159,23 +177,19 @@ def witness_search(lams, n: int) -> SearchOutcome:
     and the verdict are those of trying every subpartition of lam(1) as
     mu(0) with no filter; only explored differs.
     """
-    lams = tuple(normalize(l) for l in lams)
     m = len(lams)
     if m < 3:
         raise ValueError(f"need at least three partitions, got {m}")
-    for lam in lams:
-        if len(lam) > n:
-            raise ValueError(f"partition {lam!r} has more than n = {n} parts")
     dead: set[tuple[int, Partition]] = set()
     explored = 0
-    chain: list[Partition] = []  # mu(0..k) chosen so far
+    mus: list[Partition] = []  # mu(0..k) chosen so far
     # s_0..s_m of fact (e): even i bound |mu(0)| below, odd i above
     s = list(accumulate(map(sum, lams), lambda prev, size: size - prev, initial=0))
     # stack[k] holds the remaining candidates for mu(k), in canonical order.  A
     # state enters as its pair (lam, mu) and its least partner is tried at once;
     # the pair becomes the rest of its listing only when the search comes back.
     stack = [_first_entries(lams[0], lams[1], max(-x for x in s[::2]), min(s[1::2]))]
-    nxt = None  # a candidate for mu(len(chain)) not yet tried
+    nxt = None  # a candidate for mu(len(mus)) not yet tried
     while stack:
         if nxt is None:
             top = stack[-1]
@@ -184,20 +198,22 @@ def witness_search(lams, n: int) -> SearchOutcome:
             nxt = next(top, None)
             if nxt is None:
                 stack.pop()
-                if chain:
-                    dead.add((len(chain), chain.pop()))
+                if mus:
+                    dead.add((len(mus), mus.pop()))
                 continue
-        pos = len(chain) + 1  # the state (pos, nxt) picks mu(pos) from lams[pos - 1]
-        if not contains(lams[pos - 1], nxt) or (pos, nxt) in dead:
+        pos = len(mus) + 1  # the state (pos, nxt) picks mu(pos) from lam = lams[pos - 1]
+        lam = lams[pos - 1]
+        # fact (a), then the memo, which is empty until the search first backtracks
+        if len(nxt) > len(lam) or not all(map(le, nxt, lam)) or dead and (pos, nxt) in dead:
             nxt = None
             continue
-        chain.append(nxt)
+        mus.append(nxt)
         explored += 1
         if pos == m:
-            chain.append(_least_partner(lams[-1], nxt))
-            return SearchOutcome(WitnessChain(tuple(chain)), explored)
-        stack.append((lams[pos - 1], nxt))
-        nxt = _least_partner(lams[pos - 1], nxt)
+            mus.append(_least_partner(lam, nxt))
+            return SearchOutcome(WitnessChain(tuple(mus)), explored)
+        stack.append((lam, nxt))
+        nxt = _least_partner(lam, nxt)
     return SearchOutcome(None, explored)
 
 
@@ -212,29 +228,30 @@ def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
     Every row must be weakly decreasing and nonnegative with at most n nonzero
     parts (trailing zeros do not count); scale is the least common multiple of
     the denominators of the parts that are not ints (1 when there are none).
-    Int parts are kept as they are and any other part is read as a Fraction.
-    Each row is checked and stripped in one pass; a second pass scales the
-    rows only when some part is not an int.  A row with too many parts is
-    reported once every row has passed the order check.  Raises ValueError
-    unless n >= 1.
+    Int parts are kept as they are and any other part is read as a Fraction;
+    when every part is an int, the rows are checked as they are, with no
+    copy.  A row with too many parts is reported once every row has passed
+    the order check.  Raises ValueError unless n >= 1.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rows = []
+    rows = list(map(tuple, lams))
+    all_int = {int}.issuperset(map(type, chain.from_iterable(rows)))
     wide = None  # the message for the first row with more than n parts
-    for k, lam in enumerate(lams, 1):
-        row = tuple(x if type(x) is int else Fraction(x) for x in lam)
+    for k, row in enumerate(rows, 1):
+        if not all_int:
+            row = tuple(x if type(x) is int else Fraction(x) for x in row)
         if not is_partition(row):
             raise ValueError(f"row {k} ({format_partition(row)!r}) is not weakly decreasing and nonnegative")
         size = len(row) - row.count(0)
         if size > n and wide is None:
             wide = f"row {k} ({format_partition(row)!r}) has more than n = {n} parts"
-        rows.append(row[:size])
+        rows[k - 1] = row[:size]
     if wide is not None:
         raise ValueError(wide)
-    denominators = [x.denominator for row in rows for x in row if type(x) is not int]
-    if not denominators:
+    if all_int:
         return rows, 1
+    denominators = [x.denominator for row in rows for x in row if type(x) is not int]
     scale = math.lcm(*denominators)
     return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows], scale
 
@@ -248,4 +265,4 @@ def rational_member(lams, n: int) -> bool:
     proves it, and tests only check it on small grids.
     """
     rows, _ = clear_denominators(lams, n)
-    return witness_chain(rows, n) is not None
+    return search_canonical(rows).chain is not None

@@ -169,6 +169,28 @@ def parse_rational_parts(text: str) -> tuple[int | Fraction, ...]:
     return tuple(parts)
 
 
+def parse_rational_rows(text: str) -> tuple[tuple[int | Fraction, ...], ...]:
+    """Semicolon-separated rows, each read as parse_rational_parts reads it.
+
+    A text of ASCII digits, commas and semicolons alone holds only unsigned
+    integer parts, which int reads exactly as the grammar does, so such a
+    text is split and converted with no match per part, and a text whose
+    rows each hold one part is converted in one pass.  Any other text, or
+    one with an empty part, is read row by row by parse_rational_parts,
+    which raises for the first bad part.
+    """
+    chunks = text.split(";")
+    digits = text.replace(",", "").replace(";", "")
+    if digits.isascii() and digits.isdigit():
+        try:
+            if "," in text or "" in chunks:
+                return tuple(tuple(map(int, chunk.split(","))) if chunk else () for chunk in chunks)
+            return tuple(zip(map(int, chunks)))
+        except ValueError:  # an empty part, or more digits than int reads
+            pass
+    return tuple(map(parse_rational_parts, chunks))
+
+
 def parse_int_parts(text: str) -> tuple[int, ...]:
     """parse_rational_parts, where every part must have an integer value."""
     parts = parse_rational_parts(text)

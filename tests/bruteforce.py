@@ -6,7 +6,8 @@ check, Kostka numbers come from direct semistandard fillings rather than
 a chain of Pieri strips, and chained coefficients from explicit nested sums.  The Horn index set is
 the plain filter over every subset tuple, with every row rebuilt per tuple, or a
 depth-first search over all m positions with one chain count per tuple, and cone
-membership evaluates each inequality's matrix with Inequality.value.  The
+membership evaluates each inequality's matrix with Inequality.value, or, for
+single rows, sums every alternating window in turn.  The
 witness search tries every subpartition of the first type as mu(0) and every
 listed complement as each later entry, with no filter.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import product
 
-from kleinhorn.cone import MembershipVerdict, inequality_system
+from kleinhorn.cone import Inequality, MembershipVerdict, inequality_system
 from kleinhorn.oracle import SearchOutcome, WitnessChain
 from kleinhorn.partitions import (
     adjusted_conjugate,
@@ -348,6 +349,27 @@ def member_cone_by_value(lams, n: int, m: int) -> MembershipVerdict:
             note = f"level {iq.level} (window length {m - 2 * iq.level})"
             return MembershipVerdict(False, iq, note=note)
     return MembershipVerdict(True, None, note="all levels hold")
+
+
+def member_single_row_by_windows(lams, m: int) -> MembershipVerdict:
+    """Single-row membership by summing every alternating window (i, j) in (i, j) order.
+
+    Rows are single parts or empty; the first window of odd length with a
+    negative alternating sum is the certificate, as member_single_row gives it.
+    """
+    vals = [lam[0] if lam else 0 for lam in map(tuple, lams)]
+    assert len(vals) == m
+    for i in range(1, m + 1):
+        acc = 0
+        sign = 1
+        for j in range(i, m + 1):
+            acc += sign * vals[j - 1]
+            if (j - i) % 2 == 0 and acc < 0:
+                window = tuple(((-1) ** (r - i + 1) if i <= r <= j else 0,) for r in range(1, m + 1))
+                cert = Inequality(window, "alt", position=(i, j))
+                return MembershipVerdict(False, cert, note=f"window ({i},{j})")
+            sign = -sign
+    return MembershipVerdict(True, None, note="all alternating windows hold")
 
 
 def witness_search_unfiltered(lams, n: int) -> SearchOutcome:

@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import horn_index_set_by_dfs, horn_index_set_by_filter, member_cone_by_value
+from bruteforce import (
+    horn_index_set_by_dfs,
+    horn_index_set_by_filter,
+    member_cone_by_value,
+    member_single_row_by_windows,
+)
 from kleinhorn import cone
 from kleinhorn.cone import (
     UnsupportedLengthError,
@@ -334,6 +339,33 @@ def test_member_single_row_matches_cone_small():
         for vals in product(range(4), repeat=m):
             rows = [(v,) if v else () for v in vals]
             assert member_single_row(rows, m).member == member_cone(rows, 1, m).member
+
+
+def _single_rows(rng: random.Random, m: int):
+    """Seeded single-part rows: linked chains (members), their one-step changes, and noise."""
+    mus = [rng.randint(0, 4) for _ in range(m + 1)]
+    vals = [mus[i] + mus[i + 1] for i in range(m)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        k = rng.randrange(m)
+        vals[k] = max(0, vals[k] + rng.choice((-1, 1)))
+    elif kind == 2:
+        vals = [rng.randint(0, 6) for _ in range(m)]
+    q = rng.choice((1, 1, 2, 3))
+    return [(Fraction(v, q) if q > 1 else v,) if v else () for v in vals]
+
+
+def test_member_single_row_matches_every_window():
+    # the linear pass gives the quadratic walk's verdict and first window (i, j)
+    rng = random.Random(2029)
+    members = 0
+    for m in (*range(3, 12), 50):
+        for _ in range(300):
+            rows = _single_rows(rng, m)
+            got = member_single_row(rows, m)
+            assert got == member_single_row_by_windows(rows, m), rows
+            members += got.member
+    assert 0 < members < 3000
 
 
 def test_member_single_row_certificate_positive():

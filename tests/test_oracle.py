@@ -13,10 +13,12 @@ from bruteforce import witness_search_unfiltered
 from kleinhorn import oracle
 from kleinhorn.cone import cross_check, member_cone, member_single_row
 from kleinhorn.oracle import (
+    SearchOutcome,
     WitnessChain,
     chain_is_valid,
     clear_denominators,
     rational_member,
+    search_canonical,
     witness_chain,
     witness_search,
 )
@@ -200,6 +202,59 @@ def test_witness_rejects_bad_input():
         witness_search([(1,), (-1,), (1,)], 1)
 
 
+# The public entry points validate; the search they share takes canonical rows as given.
+BAD_ROWS = {
+    "increasing": [(2,), (1, 2), (1,)],
+    "negative": [(2,), (1, -1), (1,)],
+    "wide": [(2,), (1, 1), (1,)],
+    "short": [(1,), (1,)],
+    "short-and-wide": [(1, 1), (1,)],
+}
+PARTITION_MESSAGES = {
+    "increasing": "not a partition: (1, 2)",
+    "negative": "not a partition: (1, -1)",
+    "wide": "partition (1, 1) has more than n = 1 parts",
+    "short": "need at least three partitions, got 2",
+    "short-and-wide": "need at least three partitions, got 2",
+}
+ROW_MESSAGES = {
+    "increasing": "row 2 ('1,2') is not weakly decreasing and nonnegative",
+    "negative": "row 2 ('1,-1') is not weakly decreasing and nonnegative",
+    "wide": "row 2 ('1,1') has more than n = 1 parts",
+    "short": "need at least three partitions, got 2",
+    "short-and-wide": "row 1 ('1,1') has more than n = 1 parts",
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+@pytest.mark.parametrize(
+    "entry,messages",
+    [(witness_search, PARTITION_MESSAGES), (witness_chain, PARTITION_MESSAGES), (rational_member, ROW_MESSAGES)],
+    ids=["witness_search", "witness_chain", "rational_member"],
+)
+def test_public_entry_points_validate_rows(entry, messages, case):
+    with pytest.raises(ValueError) as err:
+        entry(BAD_ROWS[case], 1)
+    assert str(err.value) == messages[case]
+
+
+def test_public_entry_points_accept_trailing_zeros():
+    lams = [(2, 0, 0), (1, 0), (1,)]
+    chain = WitnessChain(((1,), (1,), (), (1,)))
+    assert witness_search(lams, 1) == SearchOutcome(chain, 3)
+    assert witness_chain(lams, 1) == chain
+    assert rational_member(lams, 1)
+    assert rational_member([(Fraction(1, 2), 0), (Fraction(1, 2),), (0, 0)], 1)
+
+
+def test_search_canonical_takes_cleared_rows():
+    rows, scale = clear_denominators([(Fraction(4, 2), 0), (1, 0), (1,)], 1)
+    assert (rows, scale) == ([(2,), (1,), (1,)], 1)
+    assert search_canonical(rows) == witness_search(rows, 1)
+    with pytest.raises(ValueError, match="need at least three partitions, got 2"):
+        search_canonical(rows[:2])
+
+
 def test_saturation_on_small_grid():
     grid = list(partitions_in_box(1, 3))
     for lams in product(grid, repeat=3):
@@ -285,6 +340,7 @@ def test_closed_routes_never_consult_the_oracle(monkeypatch):
         raise AssertionError("the witness search was consulted")
 
     monkeypatch.setattr(oracle, "witness_search", refuse)
+    monkeypatch.setattr(oracle, "search_canonical", refuse)
     assert member_cone([(2, 1), (2, 1), (), (), ()], 2, 5).member
     assert not member_cone([(2, 1), (3,), (), (), ()], 2, 5).member
     assert member_single_row([(3,), (3,), (1,), (2,)], 4).member

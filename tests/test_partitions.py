@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kleinhorn.partitions import (
     adjusted_conjugate,
@@ -19,6 +19,7 @@ from kleinhorn.partitions import (
     parse_int_parts,
     parse_partition,
     parse_rational_parts,
+    parse_rational_rows,
     partition_of_subset,
     partitions_in_box,
     subpartitions,
@@ -162,6 +163,36 @@ def test_parsing():
     assert parse_rational_parts("3/2,1") == (Fraction(3, 2), Fraction(1))
     with pytest.raises(ValueError):
         parse_rational_parts("1/0")
+
+
+def _read(parse, text):
+    """A reader's rows with each part's type, or the text of the ValueError it raised."""
+    try:
+        rows = parse(text)
+    except ValueError as e:
+        return str(e)
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+# digits, commas and semicolons alone take the reader's integer path
+ROWS_TEXT = st.one_of(
+    st.text(alphabet="0123456789+-/,; \t", max_size=30),
+    st.text(alphabet="0123456789,;", max_size=30),
+    st.text(alphabet="0123456789;", max_size=30),
+)
+
+
+@settings(max_examples=1000)
+@given(ROWS_TEXT)
+@example("3;;1")
+@example("1,,2;3")
+@example("7;1/0;1,2,")
+@example("1" * 4301 + ";2")
+def test_rows_reader_matches_per_row_parser(text):
+    def per_row(t):
+        return tuple(parse_rational_parts(chunk) for chunk in t.split(";"))
+
+    assert _read(parse_rational_rows, text) == _read(per_row, text)
 
 
 def test_formatting():
