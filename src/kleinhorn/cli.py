@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import cone
-from .oracle import clear_denominators, search_canonical
+from .oracle import clear_denominators, search_canonical, witness_search
 from .partitions import (
     format_partition,
     format_subset,
@@ -39,16 +39,12 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _parse_rows(text: str, n: int, m: int):
-    """Semicolon-separated rational rows: (canonical integer rows, scale).
-
-    Checks the row count against m and each row's shape against n, once:
-    the rows returned go to search_canonical as they are.
-    """
+def _parse_rows(text: str, m: int):
+    """Semicolon-separated rational rows, checked against m in number."""
     rows = parse_rational_rows(text)
     if len(rows) != m:
         raise ValueError(f"expected m = {m} rows, got {len(rows)}")
-    return clear_denominators(rows, n)
+    return rows
 
 
 def _chain_text(mus) -> str:
@@ -100,7 +96,8 @@ def _cmd_ineqs(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    ints, scale = _parse_rows(args.types, args.n, args.m)
+    # the rows are checked here once and go to search_canonical as they are
+    ints, scale = clear_denominators(_parse_rows(args.types, args.m), args.n)
 
     ineq_verdict = route = outcome = None
     if args.method in ("ineq", "both"):
@@ -153,10 +150,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    lams, scale = _parse_rows(args.types, args.n, args.m)
-    if scale != 1:
-        return _fail("witness search needs integer partitions; use decide for rational input", USAGE)
-    outcome = search_canonical(lams)
+    outcome = witness_search(_parse_rows(args.types, args.m), args.n)
     if args.json:
         if outcome.chain is not None:
             print(to_json({"exists": True, "chain": outcome.chain.mus}))

@@ -15,7 +15,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress, product
-from math import lcm
 from operator import getitem
 
 from .oracle import witness_chain
@@ -25,8 +24,8 @@ from .partitions import (
     format_subset,
     is_partition,
     normalize,
-    pad_to,
     partitions_in_box,
+    scale_rows,
     subsets_of_range,
     to_json,
 )
@@ -396,7 +395,7 @@ def _pad_rows(lams, n: int, m: int):
             if any(lam[n:]):
                 raise ValueError(f"row {lam!r} longer than n = {n}")
             lam = lam[:n]
-        rows.append(pad_to(lam, n))
+        rows.append(lam + (0,) * (n - len(lam)))
     return tuple(rows)
 
 
@@ -422,23 +421,21 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
     (i, j) is violated when l_ij < l_i(j+1), nonneg i when l_in < 0.  Then
     each level's trace row and Horn rows follow in system order: level
     k = 0, 1, ... is the level-0 check of the (n, m - 2k) system on rows
-    k+1 .. m-k.  Each row's subset sums are taken once, of the entries
-    scaled to integers by the lcm of their denominators (every row is linear
+    k+1 .. m-k.  The rows are read as ints by scale_rows (every row is linear
     and homogeneous, so a positive scale keeps each sign and the first
-    violated row), and a row's value is m - 2k list lookups.  The first
-    violated row is the certificate, equal to the system's row.
+    violated row), each row's subset sums are taken once, and a row's value
+    is m - 2k list lookups.  The first violated row is the certificate,
+    equal to the system's row.
     """
-    rows = _pad_rows(lams, n, m)
+    rows, _ = scale_rows(_pad_rows(lams, n, m))
     _horn_masks(n, m)  # horn_index_set checks n and m
     violated = [row[j - 1] < row[j] for row in rows for j in range(1, n)] + [row[-1] < 0 for row in rows]
     for iq in compress(_domain_rows(n, m), violated):
         return MembershipVerdict(False, iq, note="domain")
-    scale = lcm(*(x.denominator for row in rows for x in row))
     sums = []
     for row in rows:
         row_sums = [0]
         for x in row:
-            x = x.numerator * (scale // x.denominator)
             row_sums += [s + x for s in row_sums]
         sums.append(row_sums)
     for level in range((m - 1) // 2):
@@ -522,8 +519,9 @@ def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
 def member_single_row(lams, m: int) -> MembershipVerdict:
     """Closed-form membership when every row has a single part (n = 1).
 
-    lams is m >= 3 rows of at most one part each, read by _pad_rows as
-    member_cone reads its rows.  The tuple belongs to the cone iff every
+    lams is m >= 3 rows of at most one part each, read by _pad_rows and
+    scale_rows as member_cone reads its rows, so the sums below are exact
+    int sums.  The tuple belongs to the cone iff every
     alternating window sum v_i - v_(i+1) + ... + v_j with i <= j of equal parity
     is nonnegative; works for every m >= 3, odd or even.  The first violated
     window (i, j), in (i, j) order, is returned as an origin-"alt" certificate
@@ -538,7 +536,7 @@ def member_single_row(lams, m: int) -> MembershipVerdict:
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     r = [0]
-    for (v,) in _pad_rows(lams, 1, m):
+    for (v,) in scale_rows(_pad_rows(lams, 1, m))[0]:
         r.append(v - r[-1])
     low, other = r[m], r[m - 1]  # least r_j over j >= i of i's parity, and of the other
     first = None

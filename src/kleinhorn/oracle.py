@@ -11,10 +11,9 @@ compares it with the closed routes, cross_check, lives in cone beside routes.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from operator import itemgetter, le, sub
 
 from .partitions import (
@@ -22,6 +21,7 @@ from .partitions import (
     format_partition,
     is_partition,
     normalize,
+    scale_rows,
 )
 from .tableaux import lr_coefficient, lr_complements
 
@@ -40,10 +40,10 @@ class SearchOutcome:
 
 
 def chain_is_valid(chain: WitnessChain, lams) -> bool:
-    """Re-validate a chain: length, partitions, size telescoping, and nonzero coefficients."""
+    """Re-validate a chain: length, int partitions, size telescoping, and nonzero coefficients."""
     lams = tuple(normalize(l) for l in lams)
     mus = chain.mus
-    if len(mus) != len(lams) + 1 or not all(is_partition(mu) for mu in mus):
+    if len(mus) != len(lams) + 1 or not all({int}.issuperset(map(type, mu)) and is_partition(mu) for mu in mus):
         return False
     for i, lam in enumerate(lams):
         if sum(mus[i]) + sum(mus[i + 1]) != sum(lam):
@@ -96,26 +96,23 @@ def _first_entries(lam: Partition, nxt: Partition, lo: int, hi: int):
 
 
 def witness_search(lams, n: int) -> SearchOutcome:
-    """search_canonical on lams read as partitions with at most n parts each.
+    """search_canonical on rows read and checked by clear_denominators.
 
-    Each row is normalized (trailing zeros dropped); a row that is not a
-    partition, fewer than three rows, or a row with more than n parts raises
-    ValueError, in that order.
+    A part of another type with an integer value, such as Fraction(4, 2),
+    reads as that int; a part that is not an integer raises ValueError once
+    every row has passed clear_denominators' checks.
     """
-    lams = tuple(normalize(l) for l in lams)
-    if len(lams) < 3:
-        raise ValueError(f"need at least three partitions, got {len(lams)}")
-    for lam in lams:
-        if len(lam) > n:
-            raise ValueError(f"partition {lam!r} has more than n = {n} parts")
-    return search_canonical(lams)
+    rows, scale = clear_denominators(lams, n)
+    if scale != 1:
+        raise ValueError("witness search needs integer partitions; use decide for rational input")
+    return search_canonical(rows)
 
 
 def search_canonical(lams) -> SearchOutcome:
     """Depth-first search for the canonically smallest witness chain.
 
-    lams are canonical partitions, as normalize and clear_denominators return
-    them; they are not checked again, apart from their count (at least three).
+    lams are canonical partitions, as clear_denominators returns them; they
+    are not checked again, apart from their count (at least three).
 
     The chain mu(0..m) is lex-smallest: its mu(0) is the least one that extends
     to a whole chain, and each later mu(i) is the first entry of the
@@ -226,34 +223,28 @@ def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
     """Validate rational rows and scale them to integers: (partitions, scale).
 
     Every row must be weakly decreasing and nonnegative with at most n nonzero
-    parts (trailing zeros do not count); scale is the least common multiple of
-    the denominators of the parts that are not ints (1 when there are none).
-    Int parts are kept as they are and any other part is read as a Fraction;
-    when every part is an int, the rows are checked as they are, with no
-    copy.  A row with too many parts is reported once every row has passed
-    the order check.  Raises ValueError unless n >= 1.
+    parts (trailing zeros do not count).  The rows are read and scaled by
+    scale_rows, which keeps an all-int input as it is, and then checked: a
+    positive scale keeps each order and sign, and a message shows the row as
+    given, read exactly.  A row with too many parts is reported once every
+    row has passed the order check.  Raises ValueError unless n >= 1.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rows = list(map(tuple, lams))
-    all_int = {int}.issuperset(map(type, chain.from_iterable(rows)))
+    rows, scale = scale_rows(list(map(tuple, lams)))
     wide = None  # the message for the first row with more than n parts
-    for k, row in enumerate(rows, 1):
-        if not all_int:
-            row = tuple(x if type(x) is int else Fraction(x) for x in row)
+    for k, row in enumerate(rows):
         if not is_partition(row):
-            raise ValueError(f"row {k} ({format_partition(row)!r}) is not weakly decreasing and nonnegative")
-        size = len(row) - row.count(0)
-        if size > n and wide is None:
-            wide = f"row {k} ({format_partition(row)!r}) has more than n = {n} parts"
-        rows[k - 1] = row[:size]
+            given = format_partition(Fraction(x, scale) for x in row)
+            raise ValueError(f"row {k + 1} ({given!r}) is not weakly decreasing and nonnegative")
+        if row and not row[-1]:  # zeros come last in a partition
+            row = rows[k] = row[: len(row) - row.count(0)]
+        if len(row) > n and wide is None:
+            given = format_partition(Fraction(x, scale) for x in row)
+            wide = f"row {k + 1} ({given!r}) has more than n = {n} parts"
     if wide is not None:
         raise ValueError(wide)
-    if all_int:
-        return rows, 1
-    denominators = [x.denominator for row in rows for x in row if type(x) is not int]
-    scale = math.lcm(*denominators)
-    return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows], scale
+    return rows, scale
 
 
 def rational_member(lams, n: int) -> bool:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 from operator import le
 
 Partition = tuple[int, ...]
@@ -41,13 +42,28 @@ def is_partition(seq) -> bool:
 
 
 def normalize(seq) -> Partition:
-    """Canonical form: validate weak decrease and nonnegativity, strip trailing zeros."""
+    """Canonical form: validate int parts, weak decrease and nonnegativity, strip trailing zeros."""
     parts = tuple(seq)
-    if not is_partition(parts):
+    if not {int}.issuperset(map(type, parts)) or not is_partition(parts):
         raise ValueError(f"not a partition: {parts!r}")
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts
+
+
+def scale_rows(rows):
+    """Rows of rational parts as rows of ints: (rows, scale).
+
+    Int parts are kept as they are and every other part is read exactly as a
+    Fraction, a float as the binary fraction it holds; each part is then
+    multiplied by scale, the least common multiple of the denominators.
+    When every part is an int, rows come back unchanged with scale 1.
+    """
+    if {int}.issuperset(map(type, chain.from_iterable(rows))):
+        return rows, 1
+    rows = [tuple(x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row) for row in rows]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows], scale
 
 
 def conjugate(p: Partition) -> Partition:

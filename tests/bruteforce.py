@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from itertools import product
 
 from kleinhorn.cone import Inequality, MembershipVerdict, inequality_system
-from kleinhorn.oracle import SearchOutcome, WitnessChain
+from kleinhorn.oracle import SearchOutcome, WitnessChain, clear_denominators
 from kleinhorn.partitions import (
     adjusted_conjugate,
     contains,
@@ -378,14 +378,12 @@ def witness_search_unfiltered(lams, n: int) -> SearchOutcome:
     mu(0) runs over every subpartition of the first type in lexicographic
     order and each later mu over the whole complement listing, with dead
     (position, partition) states memoized; explored counts expanded states.
+    The rows are read and checked by clear_denominators and must be integers.
     """
-    lams = tuple(normalize(l) for l in lams)
+    lams, scale = clear_denominators(lams, n)
     m = len(lams)
-    if m < 3:
-        raise ValueError(f"need at least three partitions, got {m}")
-    for lam in lams:
-        if len(lam) > n:
-            raise ValueError(f"partition {lam!r} has more than n = {n} parts")
+    if scale != 1 or m < 3:
+        raise ValueError("need at least three integer partitions")
     dead = set()
     explored = 0
     chain = []

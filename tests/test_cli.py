@@ -475,6 +475,15 @@ def test_witness_large_parts_small_intersection(capsys):
 def test_witness_rejects_rationals(capsys):
     code, _, err = run(capsys, "witness", "-n", "1", "-m", "3", "1/2;1;1/2")
     assert code == 2 and "use decide" in err
+    # a member by decide, and still no witness: the search takes integers only
+    assert run(capsys, "decide", "-n", "1", "-m", "4", "1/2;1/2;1/2;0")[0] == 0
+    code, out, err = run(capsys, "witness", "-n", "1", "-m", "4", "1/2;1/2;1/2;0")
+    assert code == 2 and out == "" and "use decide" in err
+
+
+def test_witness_reads_integer_rationals_as_ints(capsys):
+    ints = run(capsys, "witness", "-n", "1", "-m", "4", "3;3;1;2")
+    assert run(capsys, "witness", "-n", "1", "-m", "4", "6/2;3;1;4/2") == ints
 
 
 # One parts grammar on every verb: an optional sign, ASCII digits, optionally /q

@@ -329,9 +329,28 @@ def test_member_single_row_examples():
     v = member_single_row([(1,), (3,), (1,)], 3)
     assert not v.member and v.certificate.origin == "alt" and v.certificate.position == (1, 3)
     assert member_single_row([(1,), (), (2,)], 3).member
-    # rational rows are read as they are, not scaled
+    # rational rows are read exactly
     v = member_single_row([(Fraction(1, 3),), (1,), (Fraction(1, 3),)], 3)
     assert not v.member and v.certificate.position == (1, 3)
+
+
+def test_float_rows_read_as_their_exact_value():
+    def exact(lams):
+        return [tuple(map(Fraction, lam)) for lam in lams]
+
+    # in float arithmetic window (2,4) sums below zero; read exactly it sums to 0
+    lams = [(0.1,), (0.2,), (0.4,), (0.2,)]
+    assert member_single_row(lams, 4).member and member_single_row(exact(lams), 4).member
+    values = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9)
+    for m in (3, 4):
+        for vals in product(values, repeat=m):
+            lams = [(v,) for v in vals]
+            assert member_single_row(lams, m) == member_single_row(exact(lams), m), lams
+    for vals in product((0.0, 0.1, 0.2, 0.3, 0.7), repeat=3):
+        lams = [(v,) for v in vals]
+        assert member_cone(lams, 1, 3) == member_cone(exact(lams), 1, 3), lams
+    for lams in product([(0.5, 0.25), (0.3, 0.1), (0.2,), ()], repeat=3):
+        assert member_cone(lams, 2, 3) == member_cone(exact(lams), 2, 3), lams
 
 
 def test_member_single_row_matches_cone_small():

@@ -99,6 +99,9 @@ def test_chain_is_valid_rejects_non_partitions():
     lams = [(3,), (3,), (1,), (2,)]
     assert not chain_is_valid(WitnessChain(((), (1, 2), (), (1,), (1,))), lams)
     assert not chain_is_valid(WitnessChain(((), (3,), (), (1,), (-1,))), lams)
+    # sizes telescope and every coefficient read on the fractions is one
+    halves = tuple((Fraction(k, 2),) for k in (1, 5, 1, 1, 3))
+    assert not chain_is_valid(WitnessChain(halves), lams)
     assert chain_is_valid(WitnessChain(((), (3,), (), (1,), (1,))), lams)
 
 
@@ -200,6 +203,36 @@ def test_witness_rejects_bad_input():
         witness_search([(1,), (1,)], 1)
     with pytest.raises(ValueError):
         witness_search([(1,), (-1,), (1,)], 1)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        witness_search([(), (), ()], 0)
+
+
+@pytest.mark.parametrize("entry", [witness_search, witness_chain], ids=["witness_search", "witness_chain"])
+def test_witness_entry_points_refuse_non_integer_rows(entry):
+    # a member by rational_member, and still refused: the search takes integers only
+    halves = [(Fraction(1, 2),), (Fraction(1, 2),), (Fraction(1, 2),), ()]
+    assert rational_member(halves, 1)
+    wide = [(Fraction(3, 2), Fraction(1, 2)), (2,), (Fraction(1, 2),)]
+    for lams, n in [(halves, 1), (wide, 2), ([(0.5,), (1,), (0.5,)], 1)]:
+        with pytest.raises(ValueError, match="use decide"):
+            entry(lams, n)
+    # a part of another type with an integer value reads as that int
+    assert entry([(Fraction(4, 2),), (1,), (1.0,)], 1) == entry([(2,), (1,), (1,)], 1)
+
+
+def test_witness_search_refuses_every_half_integer_tuple():
+    halves = [Fraction(k, 2) for k in range(7)]
+    count = 0
+    for m in (3, 4):
+        for vals in product(halves, repeat=m):
+            if all(x.denominator == 1 for x in vals):
+                continue
+            lams = [(x,) for x in vals]
+            with pytest.raises(ValueError, match="use decide"):
+                witness_search(lams, 1)
+            assert rational_member(lams, 1) == member_single_row(lams, m).member, lams
+            count += 1
+    assert count == 2424
 
 
 # The public entry points validate; the search they share takes canonical rows as given.
@@ -209,13 +242,6 @@ BAD_ROWS = {
     "wide": [(2,), (1, 1), (1,)],
     "short": [(1,), (1,)],
     "short-and-wide": [(1, 1), (1,)],
-}
-PARTITION_MESSAGES = {
-    "increasing": "not a partition: (1, 2)",
-    "negative": "not a partition: (1, -1)",
-    "wide": "partition (1, 1) has more than n = 1 parts",
-    "short": "need at least three partitions, got 2",
-    "short-and-wide": "need at least three partitions, got 2",
 }
 ROW_MESSAGES = {
     "increasing": "row 2 ('1,2') is not weakly decreasing and nonnegative",
@@ -228,14 +254,13 @@ ROW_MESSAGES = {
 
 @pytest.mark.parametrize("case", BAD_ROWS)
 @pytest.mark.parametrize(
-    "entry,messages",
-    [(witness_search, PARTITION_MESSAGES), (witness_chain, PARTITION_MESSAGES), (rational_member, ROW_MESSAGES)],
+    "entry", [witness_search, witness_chain, rational_member],
     ids=["witness_search", "witness_chain", "rational_member"],
 )
-def test_public_entry_points_validate_rows(entry, messages, case):
+def test_public_entry_points_validate_rows(entry, case):
     with pytest.raises(ValueError) as err:
         entry(BAD_ROWS[case], 1)
-    assert str(err.value) == messages[case]
+    assert str(err.value) == ROW_MESSAGES[case]
 
 
 def test_public_entry_points_accept_trailing_zeros():

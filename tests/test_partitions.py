@@ -22,6 +22,7 @@ from kleinhorn.partitions import (
     parse_rational_rows,
     partition_of_subset,
     partitions_in_box,
+    scale_rows,
     subpartitions,
     subsets_of_range,
 )
@@ -40,6 +41,21 @@ def test_normalize_strips_and_validates():
         normalize((1, 2))
     with pytest.raises(ValueError):
         normalize((1, -1))
+    for parts in [(Fraction(3, 2),), (2.0, 1), (Fraction(2), 1), (True,)]:
+        with pytest.raises(ValueError, match="not a partition"):
+            normalize(parts)
+
+
+def test_scale_rows():
+    rows = [(3, 1), ()]
+    out, scale = scale_rows(rows)
+    assert out is rows and scale == 1
+    assert scale_rows([(Fraction(3, 2), 1), (Fraction(1, 3),)]) == ([(9, 6), (2,)], 6)
+    # a float is the binary fraction it holds; an integer value of another type scales by 1
+    assert scale_rows([(0.5, 0.25)]) == ([(2, 1)], 4)
+    assert scale_rows([(0.1,)]) == ([(3602879701896397,)], 36028797018963968)
+    assert scale_rows([(Fraction(4, 2), 2.0, 1)]) == ([(2, 2, 1)], 1)
+    assert all(type(x) is int for x in scale_rows([(Fraction(4, 2), 2.0)])[0][0])
 
 
 def test_conjugate_examples():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -195,6 +196,20 @@ def test_kostka_content_permutation_invariance(perm, data):
     # kostka_number peels the largest part first whatever the order, so the
     # invariance itself is checked against the cell-by-cell count
     assert kostka_number(lam, permuted) == kostka_number(lam, tuple(content)) == ssyt_count(lam, permuted)
+
+
+def test_lr_layer_rejects_non_integer_parts():
+    half, three_halves = (Fraction(1, 2),), (Fraction(3, 2),)
+    calls = [
+        lambda: lr_complements(three_halves, half),
+        lambda: lr_coefficient(three_halves, half, (1,)),
+        lambda: lr_coefficient((2,), (1,), (0.5, 0.5)),
+        lambda: gen_lr([half, half, ()]),
+        lambda: kostka_number(three_halves, three_halves),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a partition"):
+            call()
 
 
 def test_kostka_rejects_negative_content():
