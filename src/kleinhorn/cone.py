@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, product
 from operator import getitem
 
@@ -23,7 +23,6 @@ from .partitions import (
     adjusted_conjugate,
     format_subset,
     is_partition,
-    normalize,
     partitions_in_box,
     scale_rows,
     subsets_of_range,
@@ -97,14 +96,15 @@ class MembershipVerdict:
     note: str = ""
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All qualifying subset tuples for odd m >= 3, in lexicographic order.
 
     Each is an m-tuple of sorted subsets of {1..n}.  A tuple qualifies when
     not every subset is full, the first two and last two subsets have equal
     cardinalities, every adjusted conjugate is a partition, and their chained
-    coefficient is exactly one.  Results are cached per (n, m).
+    coefficient is exactly one.  Results are cached per (n, m), typed, so a
+    float or bool n or m is its own key and is refused every time.
 
     Positions are 0-based here and c = (m - 1)/2 is the centre.  Row i of a
     tuple I is the adjusted conjugate of I_i; it is shifted by
@@ -168,8 +168,10 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     per call and a pair of groups reads its centre row as row(J_c, shift).  A
     state depends on the half's rows alone, so it is walked once per distinct
     rows 0..c-1 within a call and shared by every half with those rows.  The
-    walks take the normalized rows as they are, without gen_lr's checks.
+    walks take the canonical rows as they are, without gen_lr's checks.
     """
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"need int n and m, got n = {n!r}, m = {m!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if m < 3:
@@ -186,12 +188,12 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     memo: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
 
     def row(s, shift: int):
-        """Subset s's row shifted down by shift, normalized, or None if not a partition."""
+        """Subset s's row shifted down by shift, without trailing zeros, or None if not a partition."""
         key = (s, shift)
         if key not in memo:
             # position 1 is never shifted
             raw = tuple(x - shift for x in adjusted_conjugate((s,), 1, n))
-            memo[key] = normalize(raw) if is_partition(raw) else None
+            memo[key] = raw[: len(raw) - raw.count(0)] if is_partition(raw) else None
         return memo[key]
 
     # fix_at[k]: the half rows that J_k completes, in chain order
@@ -259,9 +261,9 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(found)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def inequality_system(n: int, m: int) -> tuple[Inequality, ...]:
-    """system_rows(n, m) as a tuple, cached per (n, m)."""
+    """system_rows(n, m) as a tuple, cached per (n, m), typed as horn_index_set's cache is."""
     return tuple(system_rows(n, m))
 
 

@@ -23,7 +23,7 @@ from .partitions import (
     normalize,
     scale_rows,
 )
-from .tableaux import lr_coefficient, lr_complements
+from .tableaux import _listing, lr_coefficient
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def search_canonical(lams) -> SearchOutcome:
         if nxt is None:
             top = stack[-1]
             if type(top) is tuple:
-                stack[-1] = top = islice(map(itemgetter(0), lr_complements(*top)), 1, None)
+                stack[-1] = top = islice(map(itemgetter(0), _listing(*top)), 1, None)
             nxt = next(top, None)
             if nxt is None:
                 stack.pop()

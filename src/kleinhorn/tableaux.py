@@ -3,11 +3,17 @@
 Everything here is integer counting — no symmetric-function algebra, no
 floats.  One walk lists every lattice filling of a skew shape once, bucketed
 by content; every coefficient, Kostka numbers included, is read from that
-walk, and its listings are the only memo.  The walk chooses how many of
-each letter a row holds, not the letter of each cell: column strictness, the
-lattice word and the letter range of a row are conditions on those counts
-(see lr_complements), so its depth is rows times letters and a part of any
-size costs what a short one does.  Partitions are canonical tuples.
+walk.  The walk chooses how many of each letter a row holds, not the letter
+of each cell: column strictness, the lattice word and the letter range of a
+row are conditions on those counts (see _walk), so its depth is rows times
+letters and a part of any size costs what a short one does.
+
+_walk takes canonical partitions and checks nothing; _listing = cache(_walk)
+is the only memo, so its keys are canonical.  The public functions
+lr_complements, lr_coefficient, gen_lr and kostka_number normalize their
+arguments once, before the memo, so an input gets the same answer or the
+same error whatever is cached.  Internal callers (_chain_step, and through
+it the index set, and the witness search) pass canonical rows to _listing.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ def lr_coefficient(outer: Partition, left: Partition, right: Partition) -> int:
     word, found by bisection in the sorted lr_complements listing.  Zero
     unless left and right fit inside outer and sizes add up.
     """
-    listing = lr_complements(outer, left)
+    listing = _listing(normalize(outer), normalize(left))
     right = normalize(right)
     i = bisect_left(listing, (right,))
     return listing[i][1] if i < len(listing) and listing[i][0] == right else 0
@@ -37,30 +43,38 @@ def lr_coefficient(outer: Partition, left: Partition, right: Partition) -> int:
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
     """Count semistandard tableaux of the given shape and content.
 
-    The content is any finite sequence of nonnegative integers; the count
-    ignores its order, so the largest part a is peeled first (fewer states).
-    Each state nu passes its weight to every rho of lr_complements(nu, (a,)),
-    a horizontal strip nu/rho by Pieri's rule, read uncached as nu shrinks.
+    The content is any finite sequence of nonnegative ints, each checked
+    before the sizes are compared; the count ignores its order, so the
+    largest part a is peeled first (fewer states).  Each state nu passes its
+    weight to every rho of _walk(nu, (a,)), a horizontal strip nu/rho by
+    Pieri's rule, read without the memo as nu shrinks.
     """
     shape = normalize(shape)
     content = tuple(content)
-    if any(a < 0 for a in content):
-        raise ValueError(f"content must be nonnegative: {content!r}")
+    if not {int}.issuperset(map(type, content)) or any(a < 0 for a in content):
+        raise ValueError(f"content must be nonnegative ints: {content!r}")
     state: dict[Partition, int] = {shape: 1} if sum(content) == sum(shape) else {}
     for a in sorted(filter(None, content), reverse=True):
         prev, state = state, defaultdict(int)
         for nu, w in prev.items():
-            for rho, c in lr_complements.__wrapped__(nu, (a,)):
+            for rho, c in _walk(nu, (a,)):
                 state[rho] += w * c
     return state.get((), 0)
 
 
-@cache
 def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, int], ...]:
     """Every right factor with nonzero coefficient against outer and left.
 
     Returns (partition, coefficient) pairs in lexicographic partition order;
-    the list is complete: anything absent has coefficient zero.
+    the list is complete: anything absent has coefficient zero.  outer and
+    left are any sequences of int parts, trailing zeros allowed; they are
+    normalized before the memo is read.
+    """
+    return _listing(normalize(outer), normalize(left))
+
+
+def _walk(outer: Partition, left: Partition) -> tuple[tuple[Partition, int], ...]:
+    """lr_complements of canonical partitions outer and left, uncached and unchecked.
 
     A filling with weakly increasing rows is fixed by its letter counts per
     row: c[r][v] letters v in row r (0-based).  Write
@@ -109,8 +123,6 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
     row keeps positions only for its letters v0..h, so the depth is at most
     rows times letters, and no step's cost grows with the part sizes.
     """
-    outer = normalize(outer)
-    left = normalize(left)
     if not contains(outer, left):
         return ()
     rows = len(outer)
@@ -201,6 +213,9 @@ def lr_complements(outer: Partition, left: Partition) -> tuple[tuple[Partition, 
     return tuple(sorted(counts.items()))
 
 
+_listing = cache(_walk)  # the only LR memo, keyed by canonical partitions
+
+
 def gen_lr(lams) -> int:
     """Chained Littlewood-Richardson coefficient of m >= 3 partitions.
 
@@ -239,6 +254,6 @@ def _chain_step(state: dict[Partition, int], lam: Partition) -> dict[Partition, 
     """Weights one row further: nu -> sum over prev of state[prev] * c^lam_(prev nu)."""
     nxt: dict[Partition, int] = defaultdict(int)
     for prev, w in state.items():
-        for nu, c in lr_complements(lam, prev):
+        for nu, c in _listing(lam, prev):
             nxt[nu] += w * c
     return nxt

@@ -223,6 +223,20 @@ def test_inequality_system_rejects_even_m():
         assert not isinstance(caught.value, UnsupportedLengthError)
 
 
+def test_index_set_refuses_non_int_n_or_m_cold_and_warm():
+    # both caches are typed, so an equal float, bool or Fraction is its own key:
+    # refused on a cleared cache and after the int call alike
+    for fn in (horn_index_set, inequality_system):
+        for n, m in ((2.0, 3), (2, 3.0), (True, 3), (1, Fraction(3))):
+            for warm_up in (False, True):
+                fn.cache_clear()
+                if warm_up:
+                    fn(int(n), int(m))
+                with pytest.raises(ValueError) as caught:
+                    fn(n, m)
+                assert str(caught.value) == f"need int n and m, got n = {n!r}, m = {m!r}"
+
+
 def test_member_cone_examples():
     assert member_cone([(1,), (2,), (1,)], 1, 3).member
     verdict = member_cone([(1,), (3,), (1,)], 1, 3)

@@ -23,7 +23,7 @@ from kleinhorn.oracle import (
     witness_search,
 )
 from kleinhorn.partitions import partitions_in_box
-from kleinhorn.tableaux import lr_complements
+from kleinhorn.tableaux import _listing
 
 
 def test_witness_frozen_examples():
@@ -149,15 +149,15 @@ def test_witness_search_walk_pins():
         ([(95, 80, 70, 63), (38, 27, 21, 2), (38, 38, 30, 2), (35, 25, 16, 2), (34, 20, 13, 5)], 4, 19),
     ]
     for lams, n, walks in pins:
-        lr_complements.cache_clear()
+        _listing.cache_clear()
         witness_search(lams, n)
-        assert lr_complements.cache_info().misses == walks, lams
+        assert _listing.cache_info().misses == walks, lams
     # lam_i = mu_(i-1) + mu_i with mu_i = i % 7: every least partner extends
     lams = [((i - 1) % 7 + i % 7,) for i in range(1, 1201)]
-    lr_complements.cache_clear()
+    _listing.cache_clear()
     out = witness_search(lams, 1)
     assert out.chain.mus == tuple((i % 7,) if i % 7 else () for i in range(1201))
-    assert out.explored == 1200 and lr_complements.cache_info().misses == 0
+    assert out.explored == 1200 and _listing.cache_info().misses == 0
 
 
 def test_clear_denominators_pins():

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kleinhorn
 from bruteforce import (
     dominates,
     gen_lr_nested_sum,
@@ -23,6 +26,7 @@ from kleinhorn.partitions import (
 )
 from kleinhorn.tableaux import (
     _chain_state,
+    _listing,
     gen_lr,
     kostka_number,
     lr_coefficient,
@@ -162,10 +166,10 @@ def test_kostka_frozen_values_beyond_the_grid():
 
 def test_kostka_leaves_the_lr_memo_alone():
     # nu shrinks every step, so no listing recurs in a call: the walk skips the memo
-    before = lr_complements.cache_info()
+    before = _listing.cache_info()
     assert kostka_number((5, 3, 2, 1), (2, 1, 0, 3, 2, 3)) == 20
     assert kostka_number((3, 1), (1, 1, 1)) == 0  # sizes differ
-    assert lr_complements.cache_info() == before
+    assert _listing.cache_info() == before
 
 
 def test_kostka_against_direct_ssyt_enumeration():
@@ -198,23 +202,114 @@ def test_kostka_content_permutation_invariance(perm, data):
     assert kostka_number(lam, permuted) == kostka_number(lam, tuple(content)) == ssyt_count(lam, permuted)
 
 
+def _cold_and_warm(call, int_call):
+    """call's answer, or its ValueError as text, on a cleared memo and again once int_call has run."""
+    outcomes = []
+    for warm_up in (None, int_call):
+        _listing.cache_clear()
+        if warm_up is not None:
+            warm_up()
+        try:
+            outcomes.append(call())
+        except ValueError as err:
+            outcomes.append(f"ValueError: {err}")
+    return outcomes
+
+
 def test_lr_layer_rejects_non_integer_parts():
+    # each call is paired with the int call of equal value, which fills the memo
+    # under keys that compare and hash equal to the call's: (2.0,) == (2,), (True,) == (1,)
     half, three_halves = (Fraction(1, 2),), (Fraction(3, 2),)
-    calls = [
-        lambda: lr_complements(three_halves, half),
-        lambda: lr_coefficient(three_halves, half, (1,)),
-        lambda: lr_coefficient((2,), (1,), (0.5, 0.5)),
-        lambda: gen_lr([half, half, ()]),
-        lambda: kostka_number(three_halves, three_halves),
+    refused = [
+        (lambda: lr_complements(three_halves, half), None),
+        (lambda: lr_coefficient(three_halves, half, (1,)), None),
+        (lambda: lr_coefficient((2,), (1,), (0.5, 0.5)), None),
+        (lambda: gen_lr([half, half, ()]), None),
+        (lambda: kostka_number(three_halves, three_halves), None),
+        (lambda: lr_complements((2.0,), (1,)), lambda: lr_complements((2,), (1,))),
+        (lambda: lr_complements((2,), (True,)), lambda: lr_complements((2,), (1,))),
+        (lambda: lr_complements((Fraction(2),), (1,)), lambda: lr_complements((2,), (1,))),
+        (lambda: lr_complements([2.0, 0], [1]), lambda: lr_complements([2, 0], [1])),
+        (lambda: lr_coefficient((2, 1), (1.0,), (2,)), lambda: lr_coefficient((2, 1), (1,), (2,))),
+        (lambda: lr_coefficient((2, 1), (1,), (True, True)), lambda: lr_coefficient((2, 1), (1,), (1, 1))),
+        (lambda: lr_coefficient([Fraction(2), 1], [1], [2]), lambda: lr_coefficient([2, 1], [1], [2])),
+        (lambda: gen_lr([(1,), (2.0,), (1,)]), lambda: gen_lr([(1,), (2,), (1,)])),
+        (lambda: kostka_number((2.0,), (2,)), lambda: kostka_number((2,), (2,))),
+        (lambda: kostka_number([True, True], [1, 1]), lambda: kostka_number([1, 1], [1, 1])),
     ]
-    for call in calls:
-        with pytest.raises(ValueError, match="not a partition"):
-            call()
+    for call, int_call in refused:
+        cold, warm = _cold_and_warm(call, int_call)
+        assert cold == warm and cold.startswith("ValueError: not a partition"), (cold, warm)
+    # a list, or int parts with trailing zeros, answers as the canonical tuples do
+    accepted = [
+        (lambda: lr_complements([3, 0], [1]), lambda: lr_complements((3,), (1,))),
+        (lambda: lr_complements((3,), (1, 0)), lambda: lr_complements((3,), (1,))),
+        (lambda: lr_coefficient([3], [1], [2]), lambda: lr_coefficient((3,), (1,), (2,))),
+        (lambda: lr_coefficient((2, 1, 0), [1, 0], (1, 1, 0)), lambda: lr_coefficient((2, 1), (1,), (1, 1))),
+        (lambda: gen_lr([[1], [2, 0], [1]]), lambda: gen_lr([(1,), (2,), (1,)])),
+        (lambda: kostka_number([2, 1, 0], [1, 0, 1, 1]), lambda: kostka_number((2, 1), (1, 1, 1))),
+    ]
+    for call, int_call in accepted:
+        expected = int_call()
+        assert expected and _cold_and_warm(call, int_call) == [expected, expected]
+
+
+def test_lr_memo_keys_are_canonical():
+    # trailing zeros and lists share the canonical tuples' memo entry
+    _listing.cache_clear()
+    for outer, left in [((3,), (1,)), ((3, 0), (1,)), ((3,), (1, 0)), ([3], [1])]:
+        assert lr_complements(outer, left) == (((2,), 1),)
+    info = _listing.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+
+
+def _named(node):
+    """The name a decorator or call refers to: "cache" for cache, functools.cache and cache(f)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_memo_validates_its_arguments():
+    # a memo that checks its arguments inside the cache refuses an argument on a
+    # cold cache and answers it once an equal valid key is cached: validation
+    # belongs before the memo
+    memos = {"cache", "lru_cache"}
+    wrapped = {}  # module file -> names of the functions a memo wraps
+    for path in sorted(Path(kleinhorn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(_named(d) in memos for d in node.decorator_list):
+                names.add(node.name)
+            elif isinstance(node, ast.Call) and _named(node) in memos:
+                # cache(f) and lru_cache(...)(f)
+                names.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                calls = [_named(call) for call in ast.walk(node) if isinstance(call, ast.Call)]
+                assert "normalize" not in calls, (path.name, node.name)
+        wrapped[path.name] = names
+    assert {"_walk"} <= wrapped["tableaux.py"]
+    assert {"horn_index_set", "inequality_system", "_cone_row"} <= wrapped["cone.py"]
 
 
 def test_kostka_rejects_negative_content():
     with pytest.raises(ValueError):
         kostka_number((2,), (3, -1))
+    # a part that is not an int is refused whatever the sizes, as normalize refuses it
+    for shape, content in [
+        ((3,), (Fraction(3, 2),)),
+        ((2,), (1.0,)),
+        ((3,), (Fraction(3, 2),) * 2),
+        ((2,), (2.0,)),
+        ((2,), (True, True)),
+        ((2,), (Fraction(2),)),
+    ]:
+        with pytest.raises(ValueError, match="content must be nonnegative ints"):
+            kostka_number(shape, content)
 
 
 def test_lr_complements_frozen():
