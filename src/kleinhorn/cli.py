@@ -18,11 +18,13 @@ from fractions import Fraction
 from . import cone
 from .oracle import clear_denominators, search_canonical, witness_search
 from .partitions import (
+    check_size,
     format_partition,
     format_subset,
     parse_int_parts,
     parse_partition,
     parse_rational_rows,
+    read_rows,
     to_json,
 )
 from .tableaux import gen_lr, kostka_number, lr_coefficient
@@ -39,11 +41,15 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _parse_rows(text: str, m: int):
-    """Semicolon-separated rational rows, checked against m in number."""
+def _parse_rows(text: str, n: int, m: int):
+    """Semicolon-separated rational rows, m in number.
+
+    The rows are read once, by the library call they go to; read_rows runs
+    here only to refuse a wrong count, with its checks and messages.
+    """
     rows = parse_rational_rows(text)
     if len(rows) != m:
-        raise ValueError(f"expected m = {m} rows, got {len(rows)}")
+        read_rows(rows, n, m)
     return rows
 
 
@@ -97,7 +103,7 @@ def _cmd_ineqs(args) -> int:
 
 def _cmd_decide(args) -> int:
     # the rows are checked here once and go to search_canonical as they are
-    ints, scale = clear_denominators(_parse_rows(args.types, args.m), args.n)
+    ints, scale = clear_denominators(_parse_rows(args.types, args.n, args.m), args.n)
 
     ineq_verdict = route = outcome = None
     if args.method in ("ineq", "both"):
@@ -150,7 +156,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    outcome = witness_search(_parse_rows(args.types, args.m), args.n)
+    outcome = witness_search(_parse_rows(args.types, args.n, args.m), args.n)
     if args.json:
         if outcome.chain is not None:
             print(to_json({"exists": True, "chain": outcome.chain.mus}))
@@ -230,9 +236,9 @@ def main(argv=None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on usage errors, 0 on --help
         return int(e.code or 0)
-    if "m" in args and args.m < 3:  # no route covers it
-        return _fail(f"need m >= 3, got {args.m}", USAGE)
     try:
+        if "m" in args:  # no route covers m < 3
+            check_size("m", args.m, 3)
         return args.handler(args)
     except cone.UnsupportedLengthError as e:
         return _fail(str(e), UNSUPPORTED)

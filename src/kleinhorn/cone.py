@@ -21,10 +21,11 @@ from .oracle import witness_chain
 from .partitions import (
     Partition,
     adjusted_conjugate,
+    check_size,
     format_subset,
     is_partition,
     partitions_in_box,
-    scale_rows,
+    read_rows,
     subsets_of_range,
     to_json,
 )
@@ -170,12 +171,8 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     rows 0..c-1 within a call and shared by every half with those rows.  The
     walks take the canonical rows as they are, without gen_lr's checks.
     """
-    if type(n) is not int or type(m) is not int:
-        raise ValueError(f"need int n and m, got n = {n!r}, m = {m!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
+    check_size("n", n, 1)
+    check_size("m", m, 3)
     if m % 2 == 0:
         raise UnsupportedLengthError(
             f"no inequality description for m = {m}; use the witness-chain oracle"
@@ -386,21 +383,6 @@ def _horn_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(mask[s] ^ f for s, f in zip(sets, flip)) for sets in tuples)
 
 
-def _pad_rows(lams, n: int, m: int):
-    """The m rows, each zero-padded or cut to n parts; a part past n must be zero."""
-    if len(lams) != m:
-        raise ValueError(f"expected {m} rows, got {len(lams)}")
-    rows = []
-    for lam in lams:
-        lam = tuple(lam)
-        if len(lam) > n:
-            if any(lam[n:]):
-                raise ValueError(f"row {lam!r} longer than n = {n}")
-            lam = lam[:n]
-        rows.append(lam + (0,) * (n - len(lam)))
-    return tuple(rows)
-
-
 def _first_violated(masks, sums, offset: int) -> int | None:
     """The first index of masks whose row is violated on the window at offset, or None.
 
@@ -423,14 +405,16 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
     (i, j) is violated when l_ij < l_i(j+1), nonneg i when l_in < 0.  Then
     each level's trace row and Horn rows follow in system order: level
     k = 0, 1, ... is the level-0 check of the (n, m - 2k) system on rows
-    k+1 .. m-k.  The rows are read as ints by scale_rows (every row is linear
-    and homogeneous, so a positive scale keeps each sign and the first
-    violated row), each row's subset sums are taken once, and a row's value
-    is m - 2k list lookups.  The first violated row is the certificate,
-    equal to the system's row.
+    k+1 .. m-k.  The rows are read by partitions.read_rows, which checks n,
+    m, the row count and the width and scales the parts to ints (every row
+    is linear and homogeneous, so a positive scale keeps each sign and the
+    first violated row), and zero-padded to n parts; an even m then raises
+    UnsupportedLengthError.  Each row's subset sums are taken once, and a
+    row's value is m - 2k list lookups.  The first violated row is the
+    certificate, equal to the system's row.
     """
-    rows, _ = scale_rows(_pad_rows(lams, n, m))
-    _horn_masks(n, m)  # horn_index_set checks n and m
+    rows = [row + (0,) * (n - len(row)) for row in read_rows(lams, n, m)[0]]
+    _horn_masks(n, m)  # horn_index_set refuses an even m
     violated = [row[j - 1] < row[j] for row in rows for j in range(1, n)] + [row[-1] < 0 for row in rows]
     for iq in compress(_domain_rows(n, m), violated):
         return MembershipVerdict(False, iq, note="domain")
@@ -490,16 +474,14 @@ def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
 
     The grid is all m-tuples of partitions with at most n parts, each at most
     bound; the routes are those that routes(n, m), above, lists.
-    Disagreements are collected in grid order.  Raises ValueError unless n >= 1, m >= 3 and
-    bound >= 0, and UnsupportedLengthError when no route applies: even m
+    Disagreements are collected in grid order.  Raises ValueError unless n,
+    m and bound are ints with n >= 1, m >= 3 and bound >= 0, and
+    UnsupportedLengthError when no route applies: even m
     with n >= 2.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
-    if bound < 0:
-        raise ValueError(f"need bound >= 0, got {bound}")
+    check_size("n", n, 1)
+    check_size("m", m, 3)
+    check_size("bound", bound, 0)
     checks = routes(n, m)
     if not checks:
         raise UnsupportedLengthError(
@@ -521,9 +503,10 @@ def cross_check(n: int, m: int, bound: int) -> CrossCheckReport:
 def member_single_row(lams, m: int) -> MembershipVerdict:
     """Closed-form membership when every row has a single part (n = 1).
 
-    lams is m >= 3 rows of at most one part each, read by _pad_rows and
-    scale_rows as member_cone reads its rows, so the sums below are exact
-    int sums.  The tuple belongs to the cone iff every
+    lams is m >= 3 rows of at most one part each, read by read_rows at
+    n = 1 as member_cone reads its rows, so the sums below are exact int
+    sums; a decreasing or sign violation is certified, not refused.  The
+    tuple belongs to the cone iff every
     alternating window sum v_i - v_(i+1) + ... + v_j with i <= j of equal parity
     is nonnegative; works for every m >= 3, odd or even.  The first violated
     window (i, j), in (i, j) order, is returned as an origin-"alt" certificate
@@ -535,11 +518,9 @@ def member_single_row(lams, m: int) -> MembershipVerdict:
     least value for each parity and finds the first such i; a forward scan
     from it finds j.
     """
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
     r = [0]
-    for (v,) in scale_rows(_pad_rows(lams, 1, m))[0]:
-        r.append(v - r[-1])
+    for row in read_rows(lams, 1, m)[0]:
+        r.append((row[0] if row else 0) - r[-1])
     low, other = r[m], r[m - 1]  # least r_j over j >= i of i's parity, and of the other
     first = None
     for i in range(m, 0, -1):

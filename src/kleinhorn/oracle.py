@@ -18,10 +18,11 @@ from operator import itemgetter, le, sub
 
 from .partitions import (
     Partition,
+    check_size,
     format_partition,
     is_partition,
     normalize,
-    scale_rows,
+    read_rows,
 )
 from .tableaux import _listing, lr_coefficient
 
@@ -112,7 +113,7 @@ def search_canonical(lams) -> SearchOutcome:
     """Depth-first search for the canonically smallest witness chain.
 
     lams are canonical partitions, as clear_denominators returns them; they
-    are not checked again, apart from their count (at least three).
+    are not checked again, apart from their count m >= 3.
 
     The chain mu(0..m) is lex-smallest: its mu(0) is the least one that extends
     to a whole chain, and each later mu(i) is the first entry of the
@@ -175,8 +176,7 @@ def search_canonical(lams) -> SearchOutcome:
     mu(0) with no filter; only explored differs.
     """
     m = len(lams)
-    if m < 3:
-        raise ValueError(f"need at least three partitions, got {m}")
+    check_size("m", m, 3)
     dead: set[tuple[int, Partition]] = set()
     explored = 0
     mus: list[Partition] = []  # mu(0..k) chosen so far
@@ -222,28 +222,20 @@ def witness_chain(lams, n: int) -> WitnessChain | None:
 def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
     """Validate rational rows and scale them to integers: (partitions, scale).
 
-    Every row must be weakly decreasing and nonnegative with at most n nonzero
-    parts (trailing zeros do not count).  The rows are read and scaled by
-    scale_rows, which keeps an all-int input as it is, and then checked: a
-    positive scale keeps each order and sign, and a message shows the row as
-    given, read exactly.  A row with too many parts is reported once every
-    row has passed the order check.  Raises ValueError unless n >= 1.
+    The rows are read by partitions.read_rows with m = len(lams), which
+    checks n and m, keeps an all-int input as it is, drops zero parts past
+    the n-th and refuses any other.  Then each row must be weakly decreasing
+    and nonnegative, checked in one pass that also strips trailing zeros:
+    a positive scale keeps each order and sign, and a message shows the row
+    as given, read exactly.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    rows, scale = scale_rows(list(map(tuple, lams)))
-    wide = None  # the message for the first row with more than n parts
+    rows, scale = read_rows(lams, n, len(lams))
     for k, row in enumerate(rows):
         if not is_partition(row):
             given = format_partition(Fraction(x, scale) for x in row)
             raise ValueError(f"row {k + 1} ({given!r}) is not weakly decreasing and nonnegative")
         if row and not row[-1]:  # zeros come last in a partition
-            row = rows[k] = row[: len(row) - row.count(0)]
-        if len(row) > n and wide is None:
-            given = format_partition(Fraction(x, scale) for x in row)
-            wide = f"row {k + 1} ({given!r}) has more than n = {n} parts"
-    if wide is not None:
-        raise ValueError(wide)
+            rows[k] = row[: len(row) - row.count(0)]
     return rows, scale
 
 

@@ -51,16 +51,51 @@ def normalize(seq) -> Partition:
     return parts
 
 
+def check_size(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an int (not a bool or another number type) and value >= least."""
+    if type(value) is not int:
+        raise ValueError(f"need int {name}, got {value!r}")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+
+
+def read_rows(lams, n: int, m: int):
+    """The m rows of lams as ints of at most n parts each: (rows, scale).
+
+    Checks n >= 1, m >= 3 and the row count, in that order, then reads the
+    rows through scale_rows.  A zero part past the n-th is dropped; any other
+    part past it is refused, for the first such row, with the row as given.
+    rows is a new list of tuples; order and sign are left to the caller.
+    """
+    check_size("n", n, 1)
+    check_size("m", m, 3)
+    if len(lams) != m:
+        raise ValueError(f"expected m = {m} rows, got {len(lams)}")
+    rows, scale = scale_rows(list(map(tuple, lams)))
+    if max(map(len, rows)) > n:
+        for k, row in enumerate(rows):
+            if any(row[n:]):
+                given = format_partition(Fraction(x, scale) for x in row)
+                raise ValueError(f"row {k + 1} ({given!r}) has more than n = {n} parts")
+            rows[k] = row[:n]
+    return rows, scale
+
+
 def scale_rows(rows):
     """Rows of rational parts as rows of ints: (rows, scale).
 
-    Int parts are kept as they are and every other part is read exactly as a
-    Fraction, a float as the binary fraction it holds; each part is then
-    multiplied by scale, the least common multiple of the denominators.
-    When every part is an int, rows come back unchanged with scale 1.
+    Every part must be an int, a Fraction or a float; any other part, a bool
+    or a str included, raises ValueError naming it.  Int parts are kept as
+    they are and every other part is read exactly as a Fraction, a float as
+    the binary fraction it holds; each part is then multiplied by scale, the
+    least common multiple of the denominators.  When every part is an int,
+    rows come back unchanged with scale 1.
     """
     if {int}.issuperset(map(type, chain.from_iterable(rows))):
         return rows, 1
+    if not {int, Fraction, float}.issuperset(map(type, chain.from_iterable(rows))):
+        bad = next(x for x in chain.from_iterable(rows) if type(x) not in (int, Fraction, float))
+        raise ValueError(f"part {bad!r} is not an int, Fraction or float")
     rows = [tuple(x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row) for row in rows]
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows], scale

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .partitions import check_subset, is_weakly_decreasing, pad_to
+from .partitions import check_size, check_subset, is_weakly_decreasing, pad_to
 
 Vertex = tuple[int, int]
 APEX: Vertex = (0, 0)
@@ -40,10 +40,8 @@ def build_star(n: int, m: int) -> Quiver:
     neighbouring arms to the odd one, and the apex bundles go to the odd arms
     1 and m, or come from the even arm m.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
+    check_size("n", n, 1)
+    check_size("m", m, 3)
     vertices = (APEX,) + tuple((j, i) for i in range(1, m + 1) for j in range(1, n + 1))
     arrows: list[tuple[Vertex, Vertex, int]] = []
     for i in range(1, m + 1):
@@ -108,9 +106,8 @@ def weight_of_tuple(lams, n: int) -> dict[Vertex, object]:
     row sizes (odd positions minus even).  Pairs to zero with the sincere
     dimension vector.
     """
-    m = len(lams)
-    if m < 3:
-        raise ValueError(f"need at least three rows, got {m}")
+    check_size("n", n, 1)
+    check_size("m", len(lams), 3)
     rows = []
     for idx, lam in enumerate(lams, 1):
         row = pad_to(tuple(lam), n)

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from functools import cache
 
-from .partitions import Partition, contains, normalize
+from .partitions import Partition, check_size, contains, normalize
 
 
 def lr_coefficient(outer: Partition, left: Partition, right: Partition) -> int:
@@ -229,9 +229,7 @@ def gen_lr(lams) -> int:
     weight there is the count.
     """
     lams = tuple(normalize(l) for l in lams)
-    m = len(lams)
-    if m < 3:
-        raise ValueError(f"need at least three partitions, got {m}")
+    check_size("m", len(lams), 3)
     return _chain_state(lams[:-1]).get(lams[-1], 0)
 
 

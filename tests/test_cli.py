@@ -62,7 +62,7 @@ def test_genlr(capsys):
     code, out, _ = run(capsys, "genlr", "", "2,1", "", "2,1", "")
     assert code == 0 and out == "0\n"
     code, _, err = run(capsys, "genlr", "1", "1")
-    assert code == 2 and "at least three" in err
+    assert code == 2 and err == "error: need m >= 3, got 2\n"
 
 
 def test_snm_text(capsys):
@@ -296,6 +296,9 @@ BAD_SIZE_CASES = [
     pytest.param(("decide", "-n", "0", "-m", "4", ";;;"), "need n >= 1, got 0", id="even-m-n0"),
     pytest.param(("witness", "-n", "0", "-m", "3", ";;"), "need n >= 1, got 0", id="witness-n0"),
     pytest.param(("decide", "-n", "-2", "-m", "3", ";;"), "need n >= 1, got -2", id="decide-n-2"),
+    # sizes are checked before the row count
+    pytest.param(("decide", "-n", "0", "-m", "3", ";"), "need n >= 1, got 0", id="decide-n0-short"),
+    pytest.param(("witness", "-n", "0", "-m", "3", "1,1"), "need n >= 1, got 0", id="witness-n0-short"),
     pytest.param(("ineqs", "-n", "0", "-m", "4"), "need n >= 1, got 0", id="ineqs-n0"),
     pytest.param(("ineqs", "-n", "0", "-m", "4", "--json"), "need n >= 1, got 0", id="ineqs-n0-json"),
     pytest.param(("crosscheck", "-n", "0", "-m", "4", "--bound", "1"), "need n >= 1, got 0", id="crosscheck-n0"),

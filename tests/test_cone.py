@@ -227,14 +227,15 @@ def test_index_set_refuses_non_int_n_or_m_cold_and_warm():
     # both caches are typed, so an equal float, bool or Fraction is its own key:
     # refused on a cleared cache and after the int call alike
     for fn in (horn_index_set, inequality_system):
-        for n, m in ((2.0, 3), (2, 3.0), (True, 3), (1, Fraction(3))):
+        for n, m, message in ((2.0, 3, "need int n, got 2.0"), (2, 3.0, "need int m, got 3.0"),
+                              (True, 3, "need int n, got True"), (1, Fraction(3), "need int m, got Fraction(3, 1)")):
             for warm_up in (False, True):
                 fn.cache_clear()
                 if warm_up:
                     fn(int(n), int(m))
                 with pytest.raises(ValueError) as caught:
                     fn(n, m)
-                assert str(caught.value) == f"need int n and m, got n = {n!r}, m = {m!r}"
+                assert str(caught.value) == message
 
 
 def test_member_cone_examples():
@@ -411,19 +412,12 @@ def test_member_single_row_certificate_positive():
 
 
 def test_member_single_row_rejects_wide_rows():
-    with pytest.raises(ValueError, match="longer than n = 1"):
+    with pytest.raises(ValueError, match=r"row 1 \('1,1'\) has more than n = 1 parts"):
         member_single_row([(1, 1), (1,), (1,)], 3)
-    with pytest.raises(ValueError, match="longer than n = 1"):
+    with pytest.raises(ValueError, match=r"row 1 \('1,0,1'\) has more than n = 1 parts"):
         member_single_row([(1, 0, 1), (1,), (1,)], 3)
     with pytest.raises(TypeError):
         member_single_row([1, (1,), (1,)], 3)
-
-
-def test_member_single_row_rejects_bad_lengths():
-    with pytest.raises(ValueError, match="expected 3 rows, got 2"):
-        member_single_row([(1,), (2,)], 3)
-    with pytest.raises(ValueError, match="need m >= 3, got 2"):
-        member_single_row([(1,), (2,)], 2)
 
 
 @settings(max_examples=40)

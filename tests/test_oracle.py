@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from bruteforce import witness_search_unfiltered
 from kleinhorn import oracle
-from kleinhorn.cone import cross_check, member_cone, member_single_row
+from kleinhorn.cone import cross_check, horn_index_set, inequality_system, member_cone, member_single_row
 from kleinhorn.oracle import (
     SearchOutcome,
     WitnessChain,
@@ -23,7 +23,8 @@ from kleinhorn.oracle import (
     witness_search,
 )
 from kleinhorn.partitions import partitions_in_box
-from kleinhorn.tableaux import _listing
+from kleinhorn.quiver import build_star, weight_of_tuple
+from kleinhorn.tableaux import _listing, gen_lr
 
 
 def test_witness_frozen_examples():
@@ -164,30 +165,30 @@ def test_clear_denominators_pins():
     # int rows: scale 1, canonical rows, trailing zeros past n not counted
     assert clear_denominators([(3, 2, 1), (2,), ()], 3) == ([(3, 2, 1), (2,), ()], 1)
     assert clear_denominators([(3, 2, 1, 0, 0), (2, 0), (0,)], 3) == ([(3, 2, 1), (2,), ()], 1)
-    assert clear_denominators([(Fraction(7, 3), 0, 0, 0), ()], 1) == ([(7,), ()], 3)
+    assert clear_denominators([(Fraction(7, 3), 0, 0, 0), (), ()], 1) == ([(7,), (), ()], 3)
     # mixed int and Fraction rows; Fraction(4, 2) is the int 2
     rows, scale = clear_denominators([(Fraction(1, 2), Fraction(1, 3)), (1,), (2, 1)], 2)
     assert (rows, scale) == ([(3, 2), (6,), (12, 6)], 6)
-    rows, scale = clear_denominators([(Fraction(4, 2), 1), (Fraction(3, 1),)], 2)
-    assert (rows, scale) == ([(2, 1), (3,)], 1)
+    rows, scale = clear_denominators([(Fraction(4, 2), 1), (Fraction(3, 1),), (1,)], 2)
+    assert (rows, scale) == ([(2, 1), (3,), (1,)], 1)
     assert all(type(x) is int for row in rows for x in row)
     # a 20-digit denominator
     big = 10**20 + 1
-    assert clear_denominators([(Fraction(1, big),), (5,)], 1) == ([(1,), (5 * big,)], big)
+    assert clear_denominators([(Fraction(1, big),), (5,), ()], 1) == ([(1,), (5 * big,), ()], big)
 
 
 @pytest.mark.parametrize(
     "lams,n,message",
     [
         ([(1,)], 0, "need n >= 1, got 0"),
-        ([(1,), (1, 2)], 2, "row 2 ('1,2') is not weakly decreasing and nonnegative"),
-        ([(1,), (2, -1)], 2, "row 2 ('2,-1') is not weakly decreasing and nonnegative"),
-        ([(Fraction(1, 2), Fraction(3, 4))], 2, "row 1 ('1/2,3/4') is not weakly decreasing and nonnegative"),
-        ([(3, 2, 1)], 2, "row 1 ('3,2,1') has more than n = 2 parts"),
+        ([(1,), (1, 2), ()], 2, "row 2 ('1,2') is not weakly decreasing and nonnegative"),
+        ([(1,), (2, -1), ()], 2, "row 2 ('2,-1') is not weakly decreasing and nonnegative"),
+        ([(Fraction(1, 2), Fraction(3, 4)), (), ()], 2, "row 1 ('1/2,3/4') is not weakly decreasing and nonnegative"),
+        ([(3, 2, 1), (), ()], 2, "row 1 ('3,2,1') has more than n = 2 parts"),
         # the row as given, not scaled
-        ([(Fraction(3, 2), Fraction(1, 2), Fraction(1, 4))], 2, "row 1 ('3/2,1/2,1/4') has more than n = 2 parts"),
-        # every row is checked for order before any for its length
-        ([(3, 2, 1), (1, 2)], 2, "row 2 ('1,2') is not weakly decreasing and nonnegative"),
+        ([(Fraction(3, 2), Fraction(1, 2), Fraction(1, 4)), (), ()], 2, "row 1 ('3/2,1/2,1/4') has more than n = 2 parts"),
+        # read_rows refuses a row with too many parts before any row is checked for order
+        ([(1, 2), (3, 2, 1), ()], 2, "row 2 ('3,2,1') has more than n = 2 parts"),
     ],
 )
 def test_clear_denominators_messages(lams, n, message):
@@ -235,32 +236,80 @@ def test_witness_search_refuses_every_half_integer_tuple():
     assert count == 2424
 
 
-# The public entry points validate; the search they share takes canonical rows as given.
-BAD_ROWS = {
-    "increasing": [(2,), (1, 2), (1,)],
-    "negative": [(2,), (1, -1), (1,)],
-    "wide": [(2,), (1, 1), (1,)],
-    "short": [(1,), (1,)],
-    "short-and-wide": [(1, 1), (1,)],
+# Every public entry point that reads a size or rows checks them through
+# partitions.check_size and partitions.read_rows, so each bad input has one
+# message.  An entry point takes the arguments it names, from the valid
+# defaults below with the case's changes; member_single_row reads at n = 1.
+ENTRY_POINTS = {
+    "witness_search": (witness_search, ("lams", "n")),
+    "witness_chain": (witness_chain, ("lams", "n")),
+    "rational_member": (rational_member, ("lams", "n")),
+    "clear_denominators": (clear_denominators, ("lams", "n")),
+    "member_cone": (member_cone, ("lams", "n", "m")),
+    "member_single_row": (member_single_row, ("lams", "m")),
+    "search_canonical": (search_canonical, ("lams",)),
+    "gen_lr": (gen_lr, ("lams",)),
+    "weight_of_tuple": (weight_of_tuple, ("lams", "n")),
+    "horn_index_set": (horn_index_set, ("n", "m")),
+    "inequality_system": (inequality_system, ("n", "m")),
+    "build_star": (build_star, ("n", "m")),
+    "cross_check": (cross_check, ("n", "m", "bound")),
 }
-ROW_MESSAGES = {
-    "increasing": "row 2 ('1,2') is not weakly decreasing and nonnegative",
-    "negative": "row 2 ('1,-1') is not weakly decreasing and nonnegative",
-    "wide": "row 2 ('1,1') has more than n = 1 parts",
-    "short": "need at least three partitions, got 2",
-    "short-and-wide": "row 1 ('1,1') has more than n = 1 parts",
-}
+VALID = {"lams": [(1,), (2,), (1,)], "n": 1, "m": 3, "bound": 1}
+READERS = ("witness_search", "witness_chain", "rational_member", "clear_denominators", "member_cone", "member_single_row")
+# the closed routes certify a decreasing or sign violation rather than refuse it
+ORDERED = READERS[:4]
 
 
-@pytest.mark.parametrize("case", BAD_ROWS)
-@pytest.mark.parametrize(
-    "entry", [witness_search, witness_chain, rational_member],
-    ids=["witness_search", "witness_chain", "rational_member"],
-)
-def test_public_entry_points_validate_rows(entry, case):
+def _taking(arg):
+    return {entry for entry, (_, names) in ENTRY_POINTS.items() if arg in names}
+
+
+def _bad_inputs():
+    """(entry, changes, message), id "entry-case", for every case an entry point refuses."""
+    cases = []
+    for name, least in (("n", 1), ("m", 3), ("bound", 0)):
+        for value in (2.0, 3.0, True, Fraction(3), 2, 0, -1):
+            if type(value) is not int:
+                cases.append((f"{name}={value!r}", {name: value}, _taking(name), f"need int {name}, got {value!r}"))
+            elif value < least:
+                cases.append((f"{name}={value}", {name: value}, _taking(name), f"need {name} >= {least}, got {value}"))
+    # a function that takes rows but no m counts its rows as m
+    given_m, counted = _taking("lams") & _taking("m"), _taking("lams") - _taking("m")
+    for case, lams in (("short", [(1,), (1,)]), ("short-and-wide", [(1, 1), (1,)])):
+        cases.append((case, {"lams": lams}, given_m, "expected m = 3 rows, got 2"))
+        cases.append((case, {"lams": lams}, counted, "need m >= 3, got 2"))
+    cases.append(("long", {"lams": [(1,)] * 4}, given_m, "expected m = 3 rows, got 4"))
+    wide = [(2,), (1, 1), (1,)]
+    cases.append(("wide", {"lams": wide}, set(READERS), "row 2 ('1,1') has more than n = 1 parts"))
+    cases.append(("wide", {"lams": wide}, {"weight_of_tuple"}, "sequence (1, 1) longer than target length 1"))
+    for case, bad in (("increasing", (1, 2)), ("negative", (1, -1))):
+        changes = {"lams": [(2,), bad, (1,)], "n": 2}
+        given = ",".join(map(str, bad))
+        cases.append((case, changes, set(ORDERED), f"row 2 ({given!r}) is not weakly decreasing and nonnegative"))
+        cases.append((case, changes, {"gen_lr"}, f"not a partition: {bad!r}"))
+    cases.append(("increasing", {"lams": [(2,), (1, 2), (1,)], "n": 2}, {"weight_of_tuple"},
+                  "row 2 not weakly decreasing: (1, 2)"))
+    # a part that is not an int, Fraction or float is named, not read as a number
+    for case, part in (("str", "1"), ("bool", True), ("complex", 1j)):
+        changes = {"lams": [(part,), (2,), (1,)]}
+        cases.append((case, changes, set(READERS), f"part {part!r} is not an int, Fraction or float"))
+        cases.append((case, changes, {"gen_lr"}, f"not a partition: {(part,)!r}"))
+    return [
+        pytest.param(entry, changes, message, id=f"{entry}-{case}")
+        for entry in ENTRY_POINTS
+        for case, changes, entries, message in cases
+        if entry in entries
+    ]
+
+
+@pytest.mark.parametrize("entry,changes,message", _bad_inputs())
+def test_public_entry_points_validate_rows(entry, changes, message):
+    fn, names = ENTRY_POINTS[entry]
+    args = {**VALID, **changes}
     with pytest.raises(ValueError) as err:
-        entry(BAD_ROWS[case], 1)
-    assert str(err.value) == ROW_MESSAGES[case]
+        fn(*(args[name] for name in names))
+    assert str(err.value) == message
 
 
 def test_public_entry_points_accept_trailing_zeros():
@@ -276,7 +325,7 @@ def test_search_canonical_takes_cleared_rows():
     rows, scale = clear_denominators([(Fraction(4, 2), 0), (1, 0), (1,)], 1)
     assert (rows, scale) == ([(2,), (1,), (1,)], 1)
     assert search_canonical(rows) == witness_search(rows, 1)
-    with pytest.raises(ValueError, match="need at least three partitions, got 2"):
+    with pytest.raises(ValueError, match="need m >= 3, got 2"):
         search_canonical(rows[:2])
 
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import ast
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kleinhorn
+from kleinhorn import cone
 from kleinhorn.partitions import (
     adjusted_conjugate,
     check_subset,
@@ -22,6 +27,7 @@ from kleinhorn.partitions import (
     parse_rational_rows,
     partition_of_subset,
     partitions_in_box,
+    read_rows,
     scale_rows,
     subpartitions,
     subsets_of_range,
@@ -56,6 +62,65 @@ def test_scale_rows():
     assert scale_rows([(0.1,)]) == ([(3602879701896397,)], 36028797018963968)
     assert scale_rows([(Fraction(4, 2), 2.0, 1)]) == ([(2, 2, 1)], 1)
     assert all(type(x) is int for x in scale_rows([(Fraction(4, 2), 2.0)])[0][0])
+    # any other part is named, not read as a number: Fraction(" 1000 ") is 1000
+    for part in ("1", " 1000 ", "1e3", True, 1j, None):
+        for rows in ([(1,), (part,)], [(Fraction(1, 2),), (part, 0.5)]):
+            with pytest.raises(ValueError) as err:
+                scale_rows(rows)
+            assert str(err.value) == f"part {part!r} is not an int, Fraction or float"
+
+
+def test_read_rows():
+    rows, scale = read_rows([(3, 1, 0, 0), (2,), ()], 2, 3)
+    assert (rows, scale) == ([(3, 1), (2,), ()], 1)
+    assert read_rows([(Fraction(1, 2), 0), (1,), [0.25]], 1, 3) == ([(2,), (4,), (1,)], 4)
+    # order and sign are left to the caller
+    assert read_rows([(1, 2), (-1,), (), ()], 2, 4) == ([(1, 2), (-1,), (), ()], 1)
+    # the checks come in order: n, m, the row count, the parts, the width
+    for lams, n, m, message in [
+        ([(1, 1)], 0, 2, "need n >= 1, got 0"),
+        ([(1, 1)], 1, 2, "need m >= 3, got 2"),
+        ([(1, 1), ("1",)], 1, 3, "expected m = 3 rows, got 2"),
+        ([(1, 1), ("1",), ()], 1, 3, "part '1' is not an int, Fraction or float"),
+        ([(1,), (1, 0, 2), (1, 1)], 1, 3, "row 2 ('1,0,2') has more than n = 1 parts"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            read_rows(lams, n, m)
+        assert str(err.value) == message
+
+
+def _strings(node, func=None):
+    """(innermost enclosing function, text) for each string literal but a docstring; a field of an f-string reads {}."""
+    if isinstance(node, ast.FunctionDef):
+        func = node.name
+    if isinstance(node, ast.JoinedStr):
+        yield func, "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        return
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield func, node.value
+    children = list(ast.iter_child_nodes(node))
+    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None:
+        children.remove(node.body[0])
+    for child in children:
+        yield from _strings(child, func)
+
+
+def test_sizes_and_rows_are_checked_in_one_place():
+    # a size message (need int x, need x >= k) or a row-width or row-count
+    # message is written in check_size or read_rows and nowhere else
+    message = re.compile(r"need int |need \S+ >= |need at least |more than n = |longer than n = |rows, got ")
+    found = set()
+    for path in sorted(Path(kleinhorn.__file__).parent.glob("*.py")):
+        for func, text in _strings(ast.parse(path.read_text())):
+            if message.search(text):
+                found.add((path.name, func, text))
+    assert found == {
+        ("partitions.py", "check_size", "need int {}, got {}"),
+        ("partitions.py", "check_size", "need {} >= {}, got {}"),
+        ("partitions.py", "read_rows", "expected m = {} rows, got {}"),
+        ("partitions.py", "read_rows", "row {} ({}) has more than n = {} parts"),
+    }
+    assert not hasattr(cone, "_pad_rows")
 
 
 def test_conjugate_examples():
