@@ -104,8 +104,16 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     Each is an m-tuple of sorted subsets of {1..n}.  A tuple qualifies when
     not every subset is full, the first two and last two subsets have equal
     cardinalities, every adjusted conjugate is a partition, and their chained
-    coefficient is exactly one.  Results are cached per (n, m), typed, so a
-    float or bool n or m is its own key and is refused every time.
+    coefficient is exactly one.  They are L + R[-2::-1] for each left half L
+    and partner R of _horn_pairs(n, m), in its order.  Results are cached per
+    (n, m), typed, so a float or bool n or m is its own key and is refused
+    every time.
+    """
+    return tuple(left + right[-2::-1] for left, rights in _horn_pairs(n, m) for right in rights)
+
+
+def _horn_pairs(n: int, m: int) -> list[tuple[tuple, list]]:
+    """horn_index_set(n, m) as (L, partners of L) pairs, uncached: I = L + R[-2::-1] for each partner R.
 
     Positions are 0-based here and c = (m - 1)/2 is the centre.  Row i of a
     tuple I is the adjusted conjugate of I_i; it is shifted by
@@ -141,8 +149,9 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
       even (it shifts the centre row) and not at all when c is odd, then by
       a: the first two fix the centre row for a pair of groups, and that row
       fixes the a_R each a_L joins.  Only pairs with L <= R are counted: a
-      unit count gives I, and rev(I) too when L != R.  Since I = rev(I) iff
-      L = R, each qualifying tuple is listed once.
+      unit count makes R a partner of L, for I, and L a partner of R when
+      L != R, for rev(I) = R + L[-2::-1].  Since I = rev(I) iff L = R, each
+      qualifying tuple is listed once.
     * The count splits at the centre.  gen_lr sums, over the chains
       mu_0 = row_0, mu_1, ..., mu_(m-2) = row_(m-1), the product of
       c^(row_i)_(mu_(i-1) mu_i) over i = 1..m-2.  Fix alpha = mu_(c-1) and
@@ -163,8 +172,12 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
       under one centre row, and each partner's count is then the sum over
       beta of listing(beta) S_R(beta).
 
-    The all-full tuple is left out, and the result is sorted: subsets_of_range
-    lists subsets in tuple order, so tuple order is product order.  A row
+    The all-full tuple is left out.  The lefts that have a partner come in
+    lexicographic order, and each left's partners in the order of R[-2::-1], so
+    the tuples come in lexicographic order without sorting them: every L has
+    c + 1 subsets, so comparing L + R[-2::-1] with L' + R'[-2::-1] compares L
+    with L' first and then R[-2::-1] with R'[-2::-1].  (subsets_of_range lists
+    subsets in tuple order, so tuple order is product order.)  A row
     depends on I_i and its shift alone, so each (I_i, shift) row is built once
     per call and a pair of groups reads its centre row as row(J_c, shift).  A
     state depends on the half's rows alone, so it is walked once per distinct
@@ -234,7 +247,7 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                     side = len(sets[c - 1]) if c % 2 == 0 else 0
                     groups[s][side][need[c - 1]].append((tuple(sets), state))
     full = (tuple(range(1, n + 1)),) * (c + 1)
-    found = []
+    partners: dict[tuple, list] = defaultdict(list)  # the lefts that have a partner -> their partners
     for centre, halves in groups.items():
         for side_l, lefts_by_need in halves.items():
             for side_r, rights_by_need in halves.items():
@@ -251,11 +264,12 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                             if listing is None:
                                 listing = _chain_step(state_l, mid)
                             if sum(listing.get(nu, 0) * w for nu, w in state_r.items()) == 1:
-                                found.append(left + right[-2::-1])
+                                partners[left].append(right)
                                 if left != right:
-                                    found.append(right + left[-2::-1])
-    found.sort()
-    return tuple(found)
+                                    partners[right].append(left)
+    for rights in partners.values():
+        rights.sort(key=lambda right: right[-2::-1])
+    return sorted(partners.items())
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -282,8 +296,9 @@ def system_rows(n: int, m: int):
     It qualifies: not every subset is full, all cardinalities are 0, every shift
     |I_i| - |I_(i-1)| - |I_(i+1)| is 0, so every adjusted conjugate is n zeros,
     a partition, and the chain count of empty partitions is 1.  It comes first
-    because () is the least subset in tuple order and the result is sorted.  It
-    is the only tuple with no nonempty subset, so no other window is zero.
+    because () is the least subset in tuple order and the set is in
+    lexicographic order.  It is the only tuple with no nonempty subset, so no
+    other window is zero.
 
     Every matrix is m references into _row_table(n).  member_cone's
     certificates come from the same _cone_row and _domain_rows, so each row
@@ -300,12 +315,15 @@ def system_json(n: int, m: int):
     """to_json({"n": n, "m": m, "suppressed_trivial": (m - 1) // 2, "inequalities": [the
     to_json_dict of each row of system_rows(n, m)]}) as chunks: the header, one per row, then "]}".
 
-    No Inequality is built for a trace or horn row: each subset and each of its
-    indicator rows in _row_table(n) is encoded once per call by to_json, and a
-    level's zero rows at each end are one prefix and one suffix.  Domain rows are
-    encoded from _domain_rows.  horn_index_set checks n and m before the header.
+    No Inequality and no index set is built for a trace or horn row: each level
+    reads _horn_pairs once, and a row I = L + T, T = R[-2::-1], is four texts:
+    L's subsets, T's subsets, L's coefficient rows and T's, each made once per
+    left and per distinct tail T.  Each subset and each of its indicator rows
+    in _row_table(n) is encoded once per call by to_json, and a level's zero
+    rows at each end are one prefix and one suffix.  Domain rows are encoded
+    from _domain_rows.  Level 0 is built, and n and m checked, before the header.
     """
-    horn_index_set(n, m)
+    pairs = _horn_pairs(n, m)
     zero, indicator, _ = _row_table(n)
     subset = {s: to_json(s) for s in indicator}
     plus = {s: to_json(rows[0]) for s, rows in indicator.items()}
@@ -313,17 +331,30 @@ def system_json(n: int, m: int):
     levels, full = (m - 1) // 2, tuple(range(1, n + 1))
     yield f'{{"n":{n},"m":{m},"suppressed_trivial":{levels},"inequalities":['
     for level in range(levels):
+        if level:
+            pairs = _horn_pairs(n, m - 2 * level)
         signs = ([minus, plus] * m)[: m - 2 * level]  # inner row i takes the -1 row at odd i
+        tail_signs = signs[len(pairs[0][0]) :]  # a left half holds positions 0..c
         pad = (to_json(zero) + ",") * level
         end = ("," + to_json(zero)) * level + "]}"
         yield (
             f'{"," if level else ""}{{"origin":"trace","level":{level},"subsets":null,"position":null,'
             f'"coeffs":[{pad}{",".join(sign[full] for sign in signs)}{end}'
         )
-        head = f',{{"origin":"horn","level":{level},"subsets":['
-        coeffs = f'],"position":null,"coeffs":[{pad}'
-        for sets in horn_index_set(n, m - 2 * level)[1:]:
-            yield f'{head}{",".join(map(subset.__getitem__, sets))}{coeffs}{",".join(map(getitem, signs, sets))}{end}'
+        del pairs[0][1][0]  # the all-empty tuple, which comes first, is suppressed
+        tails = {}
+        for left, rights in pairs:
+            head = f',{{"origin":"horn","level":{level},"subsets":[{",".join(map(subset.__getitem__, left))},'
+            coeffs = f'],"position":null,"coeffs":[{pad}{",".join(map(getitem, signs, left))},'
+            for right in rights:
+                tail = right[-2::-1]
+                text = tails.get(tail)
+                if text is None:
+                    text = tails[tail] = (
+                        ",".join(map(subset.__getitem__, tail)),
+                        ",".join(map(getitem, tail_signs, tail)) + end,
+                    )
+                yield f"{head}{text[0]}{coeffs}{text[1]}"
     for iq in _domain_rows(n, m):
         yield "," + to_json(iq.to_json_dict())
     yield "]}"

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, combinations
-from math import lcm
+from math import isfinite, lcm
 from operator import le
 
 Partition = tuple[int, ...]
@@ -84,18 +84,18 @@ def read_rows(lams, n: int, m: int):
 def scale_rows(rows):
     """Rows of rational parts as rows of ints: (rows, scale).
 
-    Every part must be an int, a Fraction or a float; any other part, a bool
-    or a str included, raises ValueError naming it.  Int parts are kept as
-    they are and every other part is read exactly as a Fraction, a float as
-    the binary fraction it holds; each part is then multiplied by scale, the
-    least common multiple of the denominators.  When every part is an int,
+    Every part must be an int, a Fraction or a finite float; any other part,
+    a bool, a str, an infinity or a NaN included, raises ValueError naming
+    it.  Int parts are kept as they are and every other part is read exactly
+    as a Fraction, a float as the binary fraction it holds; each part is then
+    multiplied by scale, the least common multiple of the denominators.  When every part is an int,
     rows come back unchanged with scale 1.
     """
     if {int}.issuperset(map(type, chain.from_iterable(rows))):
         return rows, 1
-    if not {int, Fraction, float}.issuperset(map(type, chain.from_iterable(rows))):
-        bad = next(x for x in chain.from_iterable(rows) if type(x) not in (int, Fraction, float))
-        raise ValueError(f"part {bad!r} is not an int, Fraction or float")
+    for x in chain.from_iterable(rows):
+        if type(x) not in (int, Fraction, float) or type(x) is float and not isfinite(x):
+            raise ValueError(f"part {x!r} is not an int, Fraction or finite float")
     rows = [tuple(x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row) for row in rows]
     scale = lcm(*(x.denominator for row in rows for x in row))
     return [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows], scale

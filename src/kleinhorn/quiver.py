@@ -75,6 +75,8 @@ def _require_star_keys(v: dict, n: int, m: int) -> None:
 
 def star_dimension(n: int, m: int) -> dict[Vertex, int]:
     """The sincere dimension vector: j at flag vertex (j, i), 1 at the apex."""
+    check_size("n", n, 1)
+    check_size("m", m, 3)
     d: dict[Vertex, int] = {APEX: 1}
     for i in range(1, m + 1):
         for j in range(1, n + 1):
@@ -131,8 +133,11 @@ def tuple_of_weight(w: dict, n: int, m: int):
 
     Requires the chamber inequalities ((-1)^i w(j, i) >= 0 for all flags) and
     a zero pairing against the sincere dimension vector; raises ValueError
-    otherwise.  Returns m weakly decreasing nonnegative rows of length n.
+    otherwise, as for n < 1 or m < 3.  Returns m weakly decreasing nonnegative
+    rows of length n.
     """
+    check_size("n", n, 1)
+    check_size("m", m, 3)
     _require_star_keys(w, n, m)
     for i in range(1, m + 1):
         sign = -1 if i % 2 else 1
@@ -157,9 +162,10 @@ def tuple_of_weight(w: dict, n: int, m: int):
 def dimvector_of_subsets(sets, n: int, at_zero: int) -> dict[Vertex, int]:
     """Dimension vector counting, on arm i, the elements of sets[i-1] at most j.
 
-    Each subset must be a strictly increasing tuple inside 1..n; raises
-    ValueError otherwise.
+    Each subset must be a strictly increasing tuple inside 1..n, with n >= 1;
+    raises ValueError otherwise.
     """
+    check_size("n", n, 1)
     d: dict[Vertex, int] = {APEX: at_zero}
     for i, s in enumerate(sets, 1):
         check_subset(s, n)
@@ -175,8 +181,11 @@ def subsets_of_dimvector(b: dict, n: int, m: int) -> tuple[tuple[int, ...], ...]
     """Invert dimvector_of_subsets: the m tuples of jump positions, one per arm.
 
     Requires every arm to be weakly increasing from 0 in steps of 0 or 1;
-    raises ValueError otherwise.  The apex value is ignored.
+    raises ValueError otherwise, as for n < 1 or m < 3.  The apex value is
+    ignored.
     """
+    check_size("n", n, 1)
+    check_size("m", m, 3)
     _require_star_keys(b, n, m)
     sets = []
     for i in range(1, m + 1):

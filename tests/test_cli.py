@@ -153,6 +153,17 @@ def test_ineqs_json_builds_no_inequality_system(capsys, monkeypatch):
     assert out == (GOLDEN / "ineqs_n2_m5.json").read_text()
 
 
+def test_ineqs_json_builds_no_index_set(capsys, monkeypatch):
+    def refuse(n, m):
+        raise AssertionError("ineqs --json built the index set")
+
+    monkeypatch.setattr(cone, "horn_index_set", refuse)
+    for n, m in [(2, 5), (3, 5)]:
+        code, out, err = run(capsys, "ineqs", "-n", str(n), "-m", str(m), "--json")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"ineqs_n{n}_m{m}.json").read_text()
+
+
 def test_ineqs_json_crash_part_way_is_internal(capsys, monkeypatch):
     def crash(n, m):
         raise RuntimeError("boom")

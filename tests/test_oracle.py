@@ -5,6 +5,7 @@ import inspect
 import random
 from fractions import Fraction
 from itertools import product, zip_longest
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,14 @@ from kleinhorn.oracle import (
     witness_search,
 )
 from kleinhorn.partitions import partitions_in_box
-from kleinhorn.quiver import build_star, weight_of_tuple
+from kleinhorn.quiver import (
+    build_star,
+    dimvector_of_subsets,
+    star_dimension,
+    subsets_of_dimvector,
+    tuple_of_weight,
+    weight_of_tuple,
+)
 from kleinhorn.tableaux import _listing, gen_lr
 
 
@@ -253,9 +261,22 @@ ENTRY_POINTS = {
     "horn_index_set": (horn_index_set, ("n", "m")),
     "inequality_system": (inequality_system, ("n", "m")),
     "build_star": (build_star, ("n", "m")),
+    "star_dimension": (star_dimension, ("n", "m")),
+    "tuple_of_weight": (tuple_of_weight, ("w", "n", "m")),
+    "subsets_of_dimvector": (subsets_of_dimvector, ("b", "n", "m")),
+    "dimvector_of_subsets": (dimvector_of_subsets, ("sets", "n", "at_zero")),
     "cross_check": (cross_check, ("n", "m", "bound")),
 }
-VALID = {"lams": [(1,), (2,), (1,)], "n": 1, "m": 3, "bound": 1}
+VALID = {
+    "lams": [(1,), (2,), (1,)],
+    "n": 1,
+    "m": 3,
+    "bound": 1,
+    "w": weight_of_tuple([(1,), (2,), (1,)], 1),
+    "b": dimvector_of_subsets([(1,), (), (1,)], 1, 1),
+    "sets": [(1,), (), (1,)],
+    "at_zero": 1,
+}
 READERS = ("witness_search", "witness_chain", "rational_member", "clear_denominators", "member_cone", "member_single_row")
 # the closed routes certify a decreasing or sign violation rather than refuse it
 ORDERED = READERS[:4]
@@ -290,10 +311,10 @@ def _bad_inputs():
         cases.append((case, changes, {"gen_lr"}, f"not a partition: {bad!r}"))
     cases.append(("increasing", {"lams": [(2,), (1, 2), (1,)], "n": 2}, {"weight_of_tuple"},
                   "row 2 not weakly decreasing: (1, 2)"))
-    # a part that is not an int, Fraction or float is named, not read as a number
-    for case, part in (("str", "1"), ("bool", True), ("complex", 1j)):
+    # a part that is not an int, Fraction or finite float is named, not read as a number
+    for case, part in (("str", "1"), ("bool", True), ("complex", 1j), ("inf", inf), ("-inf", -inf), ("nan", nan)):
         changes = {"lams": [(part,), (2,), (1,)]}
-        cases.append((case, changes, set(READERS), f"part {part!r} is not an int, Fraction or float"))
+        cases.append((case, changes, set(READERS), f"part {part!r} is not an int, Fraction or finite float"))
         cases.append((case, changes, {"gen_lr"}, f"not a partition: {(part,)!r}"))
     return [
         pytest.param(entry, changes, message, id=f"{entry}-{case}")

@@ -63,11 +63,11 @@ def test_scale_rows():
     assert scale_rows([(Fraction(4, 2), 2.0, 1)]) == ([(2, 2, 1)], 1)
     assert all(type(x) is int for x in scale_rows([(Fraction(4, 2), 2.0)])[0][0])
     # any other part is named, not read as a number: Fraction(" 1000 ") is 1000
-    for part in ("1", " 1000 ", "1e3", True, 1j, None):
+    for part in ("1", " 1000 ", "1e3", True, 1j, None, float("inf"), float("-inf"), float("nan")):
         for rows in ([(1,), (part,)], [(Fraction(1, 2),), (part, 0.5)]):
             with pytest.raises(ValueError) as err:
                 scale_rows(rows)
-            assert str(err.value) == f"part {part!r} is not an int, Fraction or float"
+            assert str(err.value) == f"part {part!r} is not an int, Fraction or finite float"
 
 
 def test_read_rows():
@@ -81,7 +81,7 @@ def test_read_rows():
         ([(1, 1)], 0, 2, "need n >= 1, got 0"),
         ([(1, 1)], 1, 2, "need m >= 3, got 2"),
         ([(1, 1), ("1",)], 1, 3, "expected m = 3 rows, got 2"),
-        ([(1, 1), ("1",), ()], 1, 3, "part '1' is not an int, Fraction or float"),
+        ([(1, 1), ("1",), ()], 1, 3, "part '1' is not an int, Fraction or finite float"),
         ([(1,), (1, 0, 2), (1, 1)], 1, 3, "row 2 ('1,0,2') has more than n = 1 parts"),
     ]:
         with pytest.raises(ValueError) as err:
