@@ -23,7 +23,6 @@ from .partitions import (
     adjusted_conjugate,
     check_size,
     format_subset,
-    is_partition,
     partitions_in_box,
     read_rows,
     subsets_of_range,
@@ -104,84 +103,104 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     Each is an m-tuple of sorted subsets of {1..n}.  A tuple qualifies when
     not every subset is full, the first two and last two subsets have equal
     cardinalities, every adjusted conjugate is a partition, and their chained
-    coefficient is exactly one.  They are L + R[-2::-1] for each left half L
-    and partner R of _horn_pairs(n, m), in its order.  Results are cached per
-    (n, m), typed, so a float or bool n or m is its own key and is refused
-    every time.
+    coefficient is exactly one.  They are L + T for each left half L and
+    tail T of the first level of _horn_levels(n, m), in its order.  Results
+    are cached per (n, m), typed, so a float or bool n or m is its own key and
+    is refused every time.
     """
-    return tuple(left + right[-2::-1] for left, rights in _horn_pairs(n, m) for right in rights)
+    return tuple(left + tail for left, tails in _horn_levels(n, m)[0] for tail in tails)
 
 
-def _horn_pairs(n: int, m: int) -> list[tuple[tuple, list]]:
-    """horn_index_set(n, m) as (L, partners of L) pairs, uncached: I = L + R[-2::-1] for each partner R.
+def _horn_levels(n: int, m: int) -> list[list[tuple[tuple, list]]]:
+    """horn_index_set(n, m - 2k) for k = 0, 1, ..., (m - 3) // 2, uncached, from one search.
 
-    Positions are 0-based here and c = (m - 1)/2 is the centre.  Row i of a
-    tuple I is the adjusted conjugate of I_i; it is shifted by
+    Level k lists (L, tails of L) pairs, and the tuples of horn_index_set(n, m - 2k)
+    are L + T for each left half L and each tail T of L, in that order.
+
+    Take one odd length l, with 0-based positions and centre c = (l - 1)/2.  Row
+    i of a tuple I is the adjusted conjugate of I_i; it is shifted by
     |I_i| - |I_(i-1)| - |I_(i+1)| at even interior i and unshifted elsewhere.
-    gen_lr forces the size need[i] = |row_i| - need[i-1] (need[-1] = 0) on
-    the chain step after row i, and a tuple passes the size screens when every
-    need[i] >= 0 and need[m-1] = 0.  The tuples are found from half-tuples
-    through the reversal rev(I) = (I_(m-1), ..., I_0):
+    gen_lr forces the size need[i] = |row_i| - need[i-1] (need[-1] = 0) on the
+    chain step after row i, and a tuple passes the size screens when every
+    need[i] >= 0 and need[l-1] = 0.  The tuples are found from half-tuples
+    through the reversal rev(I) = (I_(l-1), ..., I_0):
 
-    * The set is closed under rev.  m - 1 is even, so position i of rev(I)
-      has the parity of m - 1 - i, and its neighbours are those of
-      I_(m-1-i), swapped; the shift is symmetric in them, so row i of rev(I)
-      is row m - 1 - i of I.  The chain count is symmetric under reversing
+    * The set is closed under rev.  l - 1 is even, so position i of rev(I)
+      has the parity of l - 1 - i, and its neighbours are those of
+      I_(l-1-i), swapped; the shift is symmetric in them, so row i of rev(I)
+      is row l - 1 - i of I.  The chain count is symmetric under reversing
       its rows, because c^lam_(mu nu) = c^lam_(nu mu), and the other
       conditions are symmetric as stated.
     * A half is a tuple (J_0, ..., J_c) with |J_0| = |J_1|, rows 0..c-1
-      partitions and need[0..c-1] >= 0.  Rows 0..c-1 need only J_0..J_c, so a
-      half is searched like a prefix, with an explicit stack, and each row is
-      fixed at the first depth that determines it.  Put
-      r[i] = |row_i| - r[i+1] (r[m] = 0), the sizes read from the right.  Since
-      need[i] - r[i+1] = (-1)^i (|row_0| - |row_1| + ... + |row_(m-1)|), the
-      size screens hold iff need[i] = r[i+1] for every i and every need[i] >= 0,
-      that is, iff need[0..c-1] >= 0, r[c+1..m-1] >= 0 and
-      need[c-1] + r[c+1] = |row_c|.  So I passes every screen iff its left
-      half L = (I_0, ..., I_c) and its right half R = (I_(m-1), ..., I_c) are
-      halves, the centre row (shifted by |I_c| - |L_(c-1)| - |R_(c-1)| when c
-      is even) is a partition, and a_L + a_R = |row_c| with a the need[c-1] of
-      each half.  The first screen of R is |I_(m-1)| = |I_(m-2)|, and the rows
-      of R are the rows of I from the right.
-    * I = L + R[-2::-1] is a bijection from the pairs (L, R) that pass the
-      join to the tuples that pass every screen, and rev(I) is the image of
-      (R, L).  The halves are grouped by J_c, then by |J_(c-1)| when c is
-      even (it shifts the centre row) and not at all when c is odd, then by
-      a: the first two fix the centre row for a pair of groups, and that row
-      fixes the a_R each a_L joins.  Only pairs with L <= R are counted: a
-      unit count makes R a partner of L, for I, and L a partner of R when
-      L != R, for rev(I) = R + L[-2::-1].  Since I = rev(I) iff L = R, each
-      qualifying tuple is listed once.
+      partitions and need[0..c-1] >= 0.  Put r[i] = |row_i| - r[i+1]
+      (r[l] = 0), the sizes read from the right.  Since need[i] - r[i+1] =
+      (-1)^i (|row_0| - |row_1| + ... + |row_(l-1)|), the size screens hold
+      iff need[i] = r[i+1] for every i and every need[i] >= 0, that is, iff
+      need[0..c-1] >= 0, r[c+1..l-1] >= 0 and need[c-1] + r[c+1] = |row_c|.
+      So I passes every screen iff its left half L = (I_0, ..., I_c) and its
+      right half R = (I_(l-1), ..., I_c) are halves, the centre row (shifted
+      by |I_c| - |L_(c-1)| - |R_(c-1)| when c is even) is a partition, and
+      a_L + a_R = |row_c| with a the need[c-1] of each half.  The rows of R
+      are the rows of I from the right.  I = L + R[-2::-1] is a bijection
+      from the pairs (L, R) that pass the join to the tuples that pass every
+      screen, and rev(I) is the image of (R, L).
     * The count splits at the centre.  gen_lr sums, over the chains
-      mu_0 = row_0, mu_1, ..., mu_(m-2) = row_(m-1), the product of
-      c^(row_i)_(mu_(i-1) mu_i) over i = 1..m-2.  Fix alpha = mu_(c-1) and
+      mu_0 = row_0, mu_1, ..., mu_(l-2) = row_(l-1), the product of
+      c^(row_i)_(mu_(i-1) mu_i) over i = 1..l-2.  Fix alpha = mu_(c-1) and
       beta = mu_c: the factors i < c read only mu_0..mu_(c-1), the factor
       i = c is c^(row_c)_(alpha beta), and the factors i > c read only
-      mu_c..mu_(m-2).  So the count is the sum over alpha, beta of
+      mu_c..mu_(l-2).  So the count is the sum over alpha, beta of
       S_L(alpha) c^(row_c)_(alpha beta) S_R(beta), where S_L(alpha) sums the
       factors i < c over the chains from row_0 to alpha, the chain state of
-      L's rows 0..c-1, and S_R(beta) sums the factors i > c over the chains
-      from beta to row_(m-1).  Read from row_(m-1) back to beta, such a chain
-      has, by c^lam_(mu nu) = c^lam_(nu mu), the factors of the forward walk
-      over rows m-1, ..., c+1, which are R's rows 0..c-1: S_R is R's chain
-      state.  If a half's state is empty, every term is zero whichever side
-      the half is on and whatever its partner, so it is in no qualifying
-      tuple and is not stored.  The centre listing
+      L's rows 0..c-1, and S_R(beta), by c^lam_(mu nu) = c^lam_(nu mu), is
+      the chain state of R's rows 0..c-1.  The centre listing
       nu -> sum over alpha of S_L(alpha) c^(row_c)_(alpha nu) is one more
-      chain step from S_L; it is built when L first meets a partner R >= L
-      under one centre row, and each partner's count is then the sum over
-      beta of listing(beta) S_R(beta).
+      chain step from S_L, and a partner's count is the sum over beta of
+      listing(beta) S_R(beta).  A half whose state is empty is in no
+      qualifying tuple, whichever side it is on, and is not filed.
+    * The centre enters only by its size.  Call B = (J_0, ..., J_(c-1)) the
+      body of a half and t = |J_c|.  Row c - 1 is shifted by
+      |J_(c-1)| - t - |J_(c-2)| when c - 1 is even and at least 2; when
+      c = 1 the screen |J_0| = |J_1| reads t; no other of rows 0..c-1 reads
+      J_c.  So the halves are the bodies, each with every size t it admits,
+      and any centre of that size: the search files each body once per
+      admissible t, and the join pairs the bodies filed under t once per
+      centre J of size t, with J's centre row.  A partner's tail R[-2::-1]
+      is its reversed body, built once per body.
+    * Levels are prefixes.  Every length starts at position 0, and row i < c
+      is interior, so rows 0..c-1 of a length-l tuple, with their shifts,
+      needs and state, are those of every longer tuple that starts with the
+      same c + 1 subsets.  The search fixes row d at depth d, where J_d is
+      placed, except that an even d >= 2 waits for depth d + 1, as its shift
+      reads |J_(d+1)|.  So at depth d it has screened rows 0..d - 1, and row
+      d unless row d waits: exactly what a body J_0..J_d of the level with
+      centre d + 1 needs, with a waiting row d read at each t and t = |J_0|
+      when d = 0.  Each deeper body needs these screens too, so one stack
+      search over J_0..J_(c-1) of the longest length files, at each depth d,
+      the bodies of the level with centre d + 1 and prunes none of any level.
+    * The join works on groups.  A state is a function of the rows, every key
+      of a nonempty state has size a, and the count of a pair reads the two
+      states and the centre row alone; that row reads the centre and, when c
+      is even, the sides |L_(c-1)| and |R_(c-1)|.  So the bodies filed under
+      one t are grouped by (side, state), with side 0 when c is odd, and
+      the centres of a pool by the centre row they give each pair of sides.
+      A pair of groups is counted once per centre row, and a unit count holds
+      for every left of the one group, right of the other and centre with
+      that row.  By rev, the count of (R, L) is that of (L, R), so of two
+      groups only one ordered pair is counted, by side, then a, then filing
+      order: a unit count makes every right of the second group a partner of
+      every left of the first and, when the groups differ, every left of the
+      first a partner of every right of the second.  So each qualifying tuple
+      is listed once.
 
-    The all-full tuple is left out.  The lefts that have a partner come in
-    lexicographic order, and each left's partners in the order of R[-2::-1], so
-    the tuples come in lexicographic order without sorting them: every L has
-    c + 1 subsets, so comparing L + R[-2::-1] with L' + R'[-2::-1] compares L
-    with L' first and then R[-2::-1] with R'[-2::-1].  (subsets_of_range lists
-    subsets in tuple order, so tuple order is product order.)  A row
-    depends on I_i and its shift alone, so each (I_i, shift) row is built once
-    per call and a pair of groups reads its centre row as row(J_c, shift).  A
-    state depends on the half's rows alone, so it is walked once per distinct
-    rows 0..c-1 within a call and shared by every half with those rows.  The
+    The all-full tuple passes every screen with count 1 and is taken out.  The
+    search meets the bodies of a level in lexicographic order, so the lefts
+    come in lexicographic order as pairs (body, centre), and each left's tails
+    are sorted, so the tuples come in lexicographic order without sorting
+    them: every L has c + 1 subsets.  (subsets_of_range lists subsets in tuple
+    order, so tuple order is product order.)  Each subset's row is built once
+    per call and each shift of it once, each state once per distinct rows, and
+    each centre listing once per group, centre row and partner side.  The
     walks take the canonical rows as they are, without gen_lr's checks.
     """
     check_size("n", n, 1)
@@ -195,38 +214,41 @@ def _horn_pairs(n: int, m: int) -> list[tuple[tuple, list]]:
     by_size: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     for s in subsets:
         by_size[len(s)].append(s)
+    # each subset's unshifted row, weakly decreasing (position 1 is never shifted)
+    base = {s: adjusted_conjugate((s,), 1, n) for s in subsets}
     memo: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
 
     def row(s, shift: int):
         """Subset s's row shifted down by shift, without trailing zeros, or None if not a partition."""
         key = (s, shift)
         if key not in memo:
-            # position 1 is never shifted
-            raw = tuple(x - shift for x in adjusted_conjugate((s,), 1, n))
-            memo[key] = raw[: len(raw) - raw.count(0)] if is_partition(raw) else None
+            raw = base[s]
+            memo[key] = tuple(x - shift for x in raw if x != shift) if not raw or raw[-1] >= shift else None
         return memo[key]
 
-    # fix_at[k]: the half rows that J_k completes, in chain order
+    # fix_at[d]: the rows that J_d completes, in chain order; an even row d >= 2 waits for J_(d+1)
     fix_at: list[list[int]] = [[] for _ in range(c + 1)]
     for i in range(c):
         fix_at[i + 1 if i % 2 == 0 and i else i].append(i)
-    sets: list[tuple[int, ...]] = [()] * (c + 1)  # J_0..J_c, valid up to the current depth
-    rows: list[tuple[int, ...]] = [()] * c  # rows 0..c-1, fixed so far
+    sets: list[tuple[int, ...]] = [()] * c  # J_0..J_(c-1), valid up to the current depth
+    rows: list[tuple[int, ...]] = [()] * c  # rows fixed so far
     need = [0] * c  # need[i]: size gen_lr forces on the chain step after row i
-    states: dict[tuple[tuple[int, ...], ...], dict] = {}  # rows 0..c-1 -> their chain state
-    # groups[J_c][side][need[c-1]]: the halves, as (sets, state); side is
-    # |J_(c-1)| when c is even, where it shifts the centre row, and 0 otherwise
-    groups: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
-    stack = [iter(subsets)]  # stack[k] yields the remaining candidates for J_k
+    states: dict[tuple[tuple[int, ...], ...], tuple] = {}  # rows -> their chain state, as a dict and a key
+    bodies: list[list[tuple]] = [[] for _ in range(c)]  # bodies[d]: J_0..J_d, in search order
+    # filed[d][t][side][a][state]: (state, indices into bodies[d], tails) of the
+    # bodies J_0..J_d filed under centre size t; no row reads t when d is odd
+    filed = [[{} for _ in range(n + 1)] if d % 2 == 0 else [{}] for d in range(c)]
+
+    stack = [iter(subsets)]  # stack[d] yields the remaining candidates for J_d
     while stack:
-        k = len(stack) - 1
+        d = len(stack) - 1
         s = next(stack[-1], None)
         if s is None:
             stack.pop()
             continue
-        sets[k] = s
-        for i in fix_at[k]:
-            shift = len(sets[i]) - len(sets[i + 1]) - len(sets[i - 1]) if i < k else 0
+        sets[d] = s
+        for i in fix_at[d]:
+            shift = len(sets[i]) - len(sets[i + 1]) - len(sets[i - 1]) if i < d else 0
             rows[i] = row(sets[i], shift)
             if rows[i] is None:
                 break
@@ -234,42 +256,77 @@ def _horn_pairs(n: int, m: int) -> list[tuple[tuple, list]]:
             if need[i] < 0:
                 break
         else:
-            if k == 0:
-                stack.append(iter(by_size[len(s)]))
-            elif k < c:
-                stack.append(iter(subsets))
-            else:
-                key = tuple(rows)
+            if d % 2:  # the centre's size reads no row; side is |J_d|
+                filings = [(0, len(s), rows[d], need[d])]
+            elif not d:  # |J_1| = |J_0| when J_1 is the centre
+                filings = [(len(s), 0, rows[0], need[0])]
+            else:  # row d is shifted by |J_d| - t - |J_(d-1)|
+                filings = []
+                for t in range(n + 1):
+                    last = row(s, len(s) - t - len(sets[d - 1]))
+                    if last is not None and sum(last) >= need[d - 1]:
+                        filings.append((t, 0, last, sum(last) - need[d - 1]))
+            body = tuple(sets[: d + 1])
+            index, tail = len(bodies[d]), body[::-1]
+            bodies[d].append(body)
+            for t, side, last, a in filings:
+                key = (*rows[:d], last)
                 state = states.get(key)
                 if state is None:
-                    state = states[key] = _chain_state(key)
-                if state:
-                    side = len(sets[c - 1]) if c % 2 == 0 else 0
-                    groups[s][side][need[c - 1]].append((tuple(sets), state))
-    full = (tuple(range(1, n + 1)),) * (c + 1)
-    partners: dict[tuple, list] = defaultdict(list)  # the lefts that have a partner -> their partners
-    for centre, halves in groups.items():
-        for side_l, lefts_by_need in halves.items():
-            for side_r, rights_by_need in halves.items():
-                mid = row(centre, len(centre) - side_l - side_r if c % 2 == 0 else 0)
-                if mid is None:
-                    continue
-                for a_l, lefts in lefts_by_need.items():
-                    rights = rights_by_need.get(sum(mid) - a_l, ())
-                    for left, state_l in lefts:
-                        listing = None  # the left half's centre listing, built on its first partner
-                        for right, state_r in rights:
-                            if left > right or left == full == right:
+                    state = _chain_state(key)
+                    state = states[key] = state, frozenset(state.items())
+                if state[0]:
+                    by_state = filed[d][t].setdefault(side, {}).setdefault(a, {})
+                    group = by_state.get(state[1])
+                    if group is None:
+                        group = by_state[state[1]] = (state[0], [], [])
+                    group[1].append(index)
+                    group[2].append(tail)
+            if d < c - 1:
+                stack.append(iter(by_size[len(s)] if d == 0 else subsets))
+    full, numbered = tuple(range(1, n + 1)), list(enumerate(subsets))
+    levels = []
+    for d in range(c - 1, -1, -1):
+        partners: dict[tuple[int, int], list] = defaultdict(list)  # (body, centre) -> tails
+        for t, groups in enumerate(filed[d]):
+            pool = numbered if d % 2 else [(j, s) for j, s in numbered if len(s) == t]
+            for side_l, lefts_by_need in groups.items():
+                for side_r, rights_by_need in groups.items():
+                    if side_l > side_r:
+                        continue
+                    at = defaultdict(list)  # centre row -> the centres j with that row
+                    for j, centre in pool:
+                        mid = row(centre, len(centre) - side_l - side_r if d % 2 else 0)
+                        if mid is not None:
+                            at[mid].append(j)
+                    for mid, js in at.items():
+                        for a_l, lefts in lefts_by_need.items():
+                            a_r = sum(mid) - a_l
+                            rights = rights_by_need.get(a_r)
+                            if rights is None or side_l == side_r and a_l > a_r:
                                 continue
-                            if listing is None:
-                                listing = _chain_step(state_l, mid)
-                            if sum(listing.get(nu, 0) * w for nu, w in state_r.items()) == 1:
-                                partners[left].append(right)
-                                if left != right:
-                                    partners[right].append(left)
-    for rights in partners.values():
-        rights.sort(key=lambda right: right[-2::-1])
-    return sorted(partners.items())
+                            same = lefts is rights
+                            rights = list(rights.values())
+                            for x, (state_l, lefts_at, tails_l) in enumerate(lefts.values()):
+                                listing = _chain_step(state_l, mid)  # the group's centre listing
+                                for state_r, rights_at, tails_r in rights[x:] if same else rights:
+                                    if sum(listing.get(nu, 0) * w for nu, w in state_r.items()) == 1:
+                                        for j in js:
+                                            for i in lefts_at:
+                                                partners[i, j].extend(tails_r)
+                                            if tails_l is not tails_r:
+                                                for i in rights_at:
+                                                    partners[i, j].extend(tails_l)
+        level = []
+        for i, j in sorted(partners):
+            tails, left = partners.pop((i, j)), bodies[d][i] + (subsets[j],)
+            if left.count(full) == d + 2:
+                tails.remove(left[-2::-1])
+            if tails:
+                tails.sort()
+                level.append((left, tails))
+        levels.append(level)
+    return levels
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -315,24 +372,22 @@ def system_json(n: int, m: int):
     """to_json({"n": n, "m": m, "suppressed_trivial": (m - 1) // 2, "inequalities": [the
     to_json_dict of each row of system_rows(n, m)]}) as chunks: the header, one per row, then "]}".
 
-    No Inequality and no index set is built for a trace or horn row: each level
-    reads _horn_pairs once, and a row I = L + T, T = R[-2::-1], is four texts:
+    No Inequality and no index set is built for a trace or horn row: one
+    _horn_levels call gives every level, and a row I = L + T is four texts:
     L's subsets, T's subsets, L's coefficient rows and T's, each made once per
     left and per distinct tail T.  Each subset and each of its indicator rows
     in _row_table(n) is encoded once per call by to_json, and a level's zero
     rows at each end are one prefix and one suffix.  Domain rows are encoded
-    from _domain_rows.  Level 0 is built, and n and m checked, before the header.
+    from _domain_rows.  Every level is built, and n and m checked, before the header.
     """
-    pairs = _horn_pairs(n, m)
+    levels = _horn_levels(n, m)
     zero, indicator, _ = _row_table(n)
     subset = {s: to_json(s) for s in indicator}
     plus = {s: to_json(rows[0]) for s, rows in indicator.items()}
     minus = {s: to_json(rows[1]) for s, rows in indicator.items()}
-    levels, full = (m - 1) // 2, tuple(range(1, n + 1))
-    yield f'{{"n":{n},"m":{m},"suppressed_trivial":{levels},"inequalities":['
-    for level in range(levels):
-        if level:
-            pairs = _horn_pairs(n, m - 2 * level)
+    full = tuple(range(1, n + 1))
+    yield f'{{"n":{n},"m":{m},"suppressed_trivial":{len(levels)},"inequalities":['
+    for level, pairs in enumerate(levels):
         signs = ([minus, plus] * m)[: m - 2 * level]  # inner row i takes the -1 row at odd i
         tail_signs = signs[len(pairs[0][0]) :]  # a left half holds positions 0..c
         pad = (to_json(zero) + ",") * level
@@ -342,15 +397,14 @@ def system_json(n: int, m: int):
             f'"coeffs":[{pad}{",".join(sign[full] for sign in signs)}{end}'
         )
         del pairs[0][1][0]  # the all-empty tuple, which comes first, is suppressed
-        tails = {}
-        for left, rights in pairs:
+        texts = {}  # tail -> its subsets' text and its coefficient rows' text
+        for left, tails in pairs:
             head = f',{{"origin":"horn","level":{level},"subsets":[{",".join(map(subset.__getitem__, left))},'
             coeffs = f'],"position":null,"coeffs":[{pad}{",".join(map(getitem, signs, left))},'
-            for right in rights:
-                tail = right[-2::-1]
-                text = tails.get(tail)
+            for tail in tails:
+                text = texts.get(tail)
                 if text is None:
-                    text = tails[tail] = (
+                    text = texts[tail] = (
                         ",".join(map(subset.__getitem__, tail)),
                         ",".join(map(getitem, tail_signs, tail)) + end,
                     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .partitions import check_size, check_subset, is_weakly_decreasing, pad_to
+from .partitions import check_size, check_subset, is_weakly_decreasing, pad_to, scale_rows
 
 Vertex = tuple[int, int]
 APEX: Vertex = (0, 0)
@@ -106,10 +106,13 @@ def weight_of_tuple(lams, n: int) -> dict[Vertex, object]:
     Flag vertex (j, i) carries the signed row difference
     (-1)^i (lam(i)_j - lam(i)_{j+1}); the apex carries the alternating sum of
     row sizes (odd positions minus even).  Pairs to zero with the sincere
-    dimension vector.
+    dimension vector.  A part that is not an int, Fraction or finite float
+    is refused as partitions.scale_rows refuses it; every other part keeps
+    its value, so int and Fraction weights are exact.
     """
     check_size("n", n, 1)
     check_size("m", len(lams), 3)
+    scale_rows(lams)  # for its check of each part; the scaled rows are not used
     rows = []
     for idx, lam in enumerate(lams, 1):
         row = pad_to(tuple(lam), n)

@@ -164,6 +164,22 @@ def test_ineqs_json_builds_no_index_set(capsys, monkeypatch):
         assert out == (GOLDEN / f"ineqs_n{n}_m{m}.json").read_text()
 
 
+def test_ineqs_json_runs_one_half_search(capsys, monkeypatch):
+    calls = []
+    build = cone._horn_levels
+
+    def counted(n, m):
+        calls.append((n, m))
+        return build(n, m)
+
+    monkeypatch.setattr(cone, "_horn_levels", counted)
+    code, out, err = run(capsys, "ineqs", "-n", "2", "-m", "9", "--json")
+    assert (code, err) == (0, "")
+    # every level, 9 down to 3, comes from the one search
+    assert calls == [(2, 9)]
+    assert out.count('"origin":"trace"') == 4
+
+
 def test_ineqs_json_crash_part_way_is_internal(capsys, monkeypatch):
     def crash(n, m):
         raise RuntimeError("boom")

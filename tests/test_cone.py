@@ -114,10 +114,20 @@ def test_horn_index_set_starts_with_all_empty_tuple(n, m):
     assert horn_index_set(n, m)[0] == ((),) * m
 
 
-# one chain walk per distinct rows 0..c-1 of a half (its state) and one centre
-# listing per left half and centre row that meets a partner R >= L
+@pytest.mark.parametrize("n,m", [(1, 9), (2, 9), (3, 7), (4, 5), (5, 3), (5, 5)])
+def test_horn_levels_match_dfs_at_every_level(n, m):
+    # one search files the halves of every level; level k is the (n, m - 2k) index set
+    levels = cone._horn_levels(n, m)
+    assert len(levels) == (m - 1) // 2
+    for k, level in enumerate(levels):
+        assert tuple(left + tail for left, tails in level for tail in tails) == horn_index_set_by_dfs(n, m - 2 * k)
+
+
+# one chain walk per distinct rows of a body, at every level (its state), and
+# one centre listing per group of equal states and centre row that meets a
+# partner group, for the one search horn_index_set reads its first level from
 @pytest.mark.parametrize(
-    "n,m,walks,listings", [(4, 5, 30, 484), (2, 9, 9, 137), (3, 7, 162, 206), (3, 5, 9, 74)]
+    "n,m,walks,listings", [(4, 5, 38, 186), (2, 9, 36, 26), (3, 7, 175, 55), (3, 5, 13, 45)]
 )
 def test_horn_index_set_chain_walks(monkeypatch, n, m, walks, listings):
     calls = Counter()

@@ -314,7 +314,7 @@ def _bad_inputs():
     # a part that is not an int, Fraction or finite float is named, not read as a number
     for case, part in (("str", "1"), ("bool", True), ("complex", 1j), ("inf", inf), ("-inf", -inf), ("nan", nan)):
         changes = {"lams": [(part,), (2,), (1,)]}
-        cases.append((case, changes, set(READERS), f"part {part!r} is not an int, Fraction or finite float"))
+        cases.append((case, changes, {*READERS, "weight_of_tuple"}, f"part {part!r} is not an int, Fraction or finite float"))
         cases.append((case, changes, {"gen_lr"}, f"not a partition: {(part,)!r}"))
     return [
         pytest.param(entry, changes, message, id=f"{entry}-{case}")

@@ -106,9 +106,10 @@ def _strings(node, func=None):
 
 
 def test_sizes_and_rows_are_checked_in_one_place():
-    # a size message (need int x, need x >= k) or a row-width or row-count
-    # message is written in check_size or read_rows and nowhere else
-    message = re.compile(r"need int |need \S+ >= |need at least |more than n = |longer than n = |rows, got ")
+    # a size message (need int x, need x >= k), a row-width or row-count
+    # message or a refused part is written in check_size, read_rows or
+    # scale_rows and nowhere else
+    message = re.compile(r"need int |need \S+ >= |need at least |more than n = |longer than n = |rows, got |is not an int, ")
     found = set()
     for path in sorted(Path(kleinhorn.__file__).parent.glob("*.py")):
         for func, text in _strings(ast.parse(path.read_text())):
@@ -119,6 +120,7 @@ def test_sizes_and_rows_are_checked_in_one_place():
         ("partitions.py", "check_size", "need {} >= {}, got {}"),
         ("partitions.py", "read_rows", "expected m = {} rows, got {}"),
         ("partitions.py", "read_rows", "row {} ({}) has more than n = {} parts"),
+        ("partitions.py", "scale_rows", "part {} is not an int, Fraction or finite float"),
     }
     assert not hasattr(cone, "_pad_rows")
 
