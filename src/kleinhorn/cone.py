@@ -96,7 +96,6 @@ class MembershipVerdict:
     note: str = ""
 
 
-@lru_cache(maxsize=None, typed=True)
 def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All qualifying subset tuples for odd m >= 3, in lexicographic order.
 
@@ -104,9 +103,8 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     not every subset is full, the first two and last two subsets have equal
     cardinalities, every adjusted conjugate is a partition, and their chained
     coefficient is exactly one.  They are L + T for each left half L and
-    tail T of the first level of _horn_levels(n, m), in its order.  Results
-    are cached per (n, m), typed, so a float or bool n or m is its own key and
-    is refused every time.
+    tail T of the first level of _horn_levels(n, m), in its order, built on
+    every call: the system's readers take their levels from _horn_levels.
     """
     return tuple(left + tail for left, tails in _horn_levels(n, m)[0] for tail in tails)
 
@@ -331,7 +329,7 @@ def _horn_levels(n: int, m: int) -> list[list[tuple[tuple, list]]]:
 
 @lru_cache(maxsize=None, typed=True)
 def inequality_system(n: int, m: int) -> tuple[Inequality, ...]:
-    """system_rows(n, m) as a tuple, cached per (n, m), typed as horn_index_set's cache is."""
+    """system_rows(n, m) as a tuple, cached per (n, m), typed, so a float or bool n or m is refused every time."""
     return tuple(system_rows(n, m))
 
 
@@ -344,12 +342,13 @@ def system_rows(n: int, m: int):
     is zero.  The trace row at level k is the window of the all-full tuple
     (full,) * (m - 2k), the one tuple horn_index_set leaves out.  Monotone row
     (i, j) is the step -1, +1 at columns j, j + 1 of row i; nonneg row i is the
-    -1 indicator row of {n} at row i.  The rows come in this order: each level's
-    _cone_row at every index, then _domain_rows.
+    -1 indicator row of {n} at row i.  The rows come in this order: for each
+    level of one _horn_levels(n, m) call, the trace row, then the _cone_row of
+    each of the level's tuples L + T in its order; then _domain_rows.
 
     The all-empty tuple, whose window is zero, is suppressed and counted, never
-    emitted; it is horn_index_set(n, L)[0] at every odd L >= 3, so each level
-    skips one tuple and the suppressed count is the number of levels, (m - 1) // 2.
+    emitted; it is the first tuple of every level, so each level skips one
+    tuple and the suppressed count is the number of levels, (m - 1) // 2.
     It qualifies: not every subset is full, all cardinalities are 0, every shift
     |I_i| - |I_(i-1)| - |I_(i+1)| is 0, so every adjusted conjugate is n zeros,
     a partition, and the chain count of empty partitions is 1.  It comes first
@@ -359,12 +358,12 @@ def system_rows(n: int, m: int):
 
     Every matrix is m references into _row_table(n).  member_cone's
     certificates come from the same _cone_row and _domain_rows, so each row
-    has one definition.  horn_index_set checks n and m before any row is built.
+    has one definition.  _horn_levels checks n and m before any row is built.
     """
-    horn_index_set(n, m)
-    for level in range((m - 1) // 2):
-        for index in range(len(horn_index_set(n, m - 2 * level))):
-            yield _cone_row(n, m, level, index)
+    for level, pairs in enumerate(_horn_levels(n, m)):
+        yield _cone_row(n, level, (tuple(range(1, n + 1)),) * (m - 2 * level))
+        del pairs[0][1][0]  # the all-empty tuple, which comes first, is suppressed
+        yield from (_cone_row(n, level, left + tail) for left, tails in pairs for tail in tails)
     yield from _domain_rows(n, m)
 
 
@@ -426,15 +425,13 @@ def _row_table(n: int):
     return zero, indicator, steps
 
 
-def _cone_row(n: int, m: int, level: int, index: int) -> Inequality:
-    """Level `level`'s row at an index into horn_index_set(n, m - 2 * level); index 0 is the trace row."""
+def _cone_row(n: int, level: int, sets) -> Inequality:
+    """Level `level`'s row of the inner subset tuple sets; the all-full tuple gives the trace row."""
     zero, indicator, _ = _row_table(n)
     pad = (zero,) * level
-    sets = horn_index_set(n, m - 2 * level)[index] if index else (tuple(range(1, n + 1)),) * (m - 2 * level)
     coeffs = pad + tuple(indicator[s][i % 2] for i, s in enumerate(sets, 1)) + pad
-    if index:
-        return Inequality(coeffs, "horn", level=level, subsets=sets)
-    return Inequality(coeffs, "trace", level=level)
+    trace = all(len(s) == n for s in sets)
+    return Inequality(coeffs, "trace" if trace else "horn", level=level, subsets=None if trace else sets)
 
 
 @cache
@@ -453,33 +450,38 @@ def _domain_rows(n: int, m: int) -> tuple[Inequality, ...]:
     return tuple(ineqs)
 
 
-_certificate = cache(_cone_row)  # member_cone's certificates, each built once
+@cache
+def _level_masks(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Each level's rows of system_rows(n, m) as bitmasks, from one _horn_levels(n, m) call.
+
+    Level k lists the trace tuple, then the tuples L + T but the all-empty one,
+    in system order; bit j - 1 stands for element j.  Odd positions i (from 1)
+    hold the complement: -S(I) = S(complement of I) - S(full), so a row is
+    positive iff its sum of subset sums exceeds the window's full sums at odd
+    positions.  Each left's masks and each distinct tail's are made once.
+    """
+    levels, full = _horn_levels(n, m), (1 << n) - 1
+    mask = {s: sum(1 << (j - 1) for j in s) for s in subsets_of_range(n)}
+    flip = [full if i % 2 else 0 for i in range(1, m + 1)]
+    found = []
+    for level, pairs in enumerate(levels):
+        del pairs[0][1][0]  # the all-empty tuple, which comes first, is suppressed
+        rest = flip[len(pairs[0][0]) :]  # a tail's flips
+        parts = {t: tuple(mask[s] ^ f for s, f in zip(t, rest)) for t in {t for _, ts in pairs for t in ts}}
+        entries = [tuple(full ^ f for f in flip[: m - 2 * level])]
+        for left, tails in pairs:
+            head = tuple(mask[s] ^ f for s, f in zip(left, flip))
+            entries += [head + parts[tail] for tail in tails]
+        found.append(tuple(entries))
+    return tuple(found)
 
 
 @cache
-def _horn_masks(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """horn_index_set(n, m) as bitmasks, bit j - 1 for element j, with the trace tuple at index 0.
-
-    Odd positions i (from 1) hold the complement: -S(I) = S(complement of I) - S(full).
-    """
-    flip = [(1 << n) - 1 if i % 2 else 0 for i in range(1, m + 1)]
-    mask = {s: sum(1 << (j - 1) for j in s) for s in subsets_of_range(n)}
-    tuples = ((tuple(range(1, n + 1)),) * m,) + horn_index_set(n, m)[1:]
-    return tuple(tuple(mask[s] ^ f for s, f in zip(sets, flip)) for sets in tuples)
-
-
-def _first_violated(masks, sums, offset: int) -> int | None:
-    """The first index of masks whose row is violated on the window at offset, or None.
-
-    sums[r] lists row r's subset sums by bitmask.  By _horn_masks' complements,
-    a row is positive iff its sum exceeds the window's full sums at odd positions.
-    """
-    window = sums[offset : offset + len(masks[0])]
-    bound = sum(s[-1] for s in window[::2])
-    for index, entry in enumerate(masks):
-        if sum(map(getitem, window, entry)) > bound:
-            return index
-    return None
+def _certificate(n: int, m: int, level: int, index: int) -> Inequality:
+    """The _cone_row of entry index of _level_masks(n, m)[level], its subsets read back from the masks."""
+    subset, flip = {sum(1 << (j - 1) for j in s): s for s in subsets_of_range(n)}, (1 << n) - 1
+    entry = _level_masks(n, m)[level][index]
+    return _cone_row(n, level, tuple(subset[e ^ flip * (i % 2)] for i, e in enumerate(entry, 1)))
 
 
 def member_cone(lams, n: int, m: int) -> MembershipVerdict:
@@ -495,11 +497,11 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
     is linear and homogeneous, so a positive scale keeps each sign and the
     first violated row), and zero-padded to n parts; an even m then raises
     UnsupportedLengthError.  Each row's subset sums are taken once, and a
-    row's value is m - 2k list lookups.  The first violated row is the
-    certificate, equal to the system's row.
+    row's value is m - 2k list lookups, by its _level_masks entry.  The first
+    violated row is the certificate, equal to the system's row.
     """
     rows = [row + (0,) * (n - len(row)) for row in read_rows(lams, n, m)[0]]
-    _horn_masks(n, m)  # horn_index_set refuses an even m
+    masks = _level_masks(n, m)  # _horn_levels refuses an even m
     violated = [row[j - 1] < row[j] for row in rows for j in range(1, n)] + [row[-1] < 0 for row in rows]
     for iq in compress(_domain_rows(n, m), violated):
         return MembershipVerdict(False, iq, note="domain")
@@ -509,11 +511,13 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
         for x in row:
             row_sums += [s + x for s in row_sums]
         sums.append(row_sums)
-    for level in range((m - 1) // 2):
-        index = _first_violated(_horn_masks(n, m - 2 * level), sums, level)
-        if index is not None:
-            note = f"level {level} (window length {m - 2 * level})"
-            return MembershipVerdict(False, _certificate(n, m, level, index), note=note)
+    for level, entries in enumerate(masks):
+        window = sums[level : m - level]
+        bound = sum(s[-1] for s in window[::2])
+        for index, entry in enumerate(entries):
+            if sum(map(getitem, window, entry)) > bound:
+                note = f"level {level} (window length {m - 2 * level})"
+                return MembershipVerdict(False, _certificate(n, m, level, index), note=note)
     return MembershipVerdict(True, None, note="all levels hold")
 
 

@@ -23,6 +23,7 @@ _PART = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def is_weakly_decreasing(seq) -> bool:
+    """True iff no entry of seq exceeds the one before it."""
     prev = None
     for x in seq:
         if prev is not None and prev < x:
@@ -32,13 +33,8 @@ def is_weakly_decreasing(seq) -> bool:
 
 
 def is_partition(seq) -> bool:
-    """True iff seq is weakly decreasing with nonnegative entries."""
-    prev = None
-    for x in seq:
-        if prev is not None and prev < x:
-            return False
-        prev = x
-    return prev is None or prev >= 0
+    """True iff the sequence seq is weakly decreasing with nonnegative entries."""
+    return is_weakly_decreasing(seq) and not (seq and seq[-1] < 0)
 
 
 def normalize(seq) -> Partition:

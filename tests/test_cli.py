@@ -180,6 +180,46 @@ def test_ineqs_json_runs_one_half_search(capsys, monkeypatch):
     assert out.count('"origin":"trace"') == 4
 
 
+@pytest.fixture
+def half_searches(monkeypatch):
+    """The (n, m) of each _horn_levels call, with horn_index_set refused and member_cone's memos cleared."""
+    calls = []
+    build = cone._horn_levels
+
+    def counted(n, m):
+        calls.append((n, m))
+        return build(n, m)
+
+    def refuse(n, m):
+        raise AssertionError("horn_index_set was called")
+
+    monkeypatch.setattr(cone, "_horn_levels", counted)
+    monkeypatch.setattr(cone, "horn_index_set", refuse)
+    cone._level_masks.cache_clear()
+    cone._certificate.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("n,m,types", [(2, 7, "1;2;1,1;;;;"), (3, 5, "1;;2;1,1;1")])
+def test_decide_runs_one_half_search(capsys, half_searches, n, m, types):
+    # the certificate is a level-1 row, read back from masks of the one search
+    code, out, err = run(capsys, "decide", "-n", str(n), "-m", str(m), "--json", types)
+    assert (code, err) == (1, "")
+    assert half_searches == [(n, m)]
+    cert = json.loads(out)["certificate"]
+    assert (cert["origin"], cert["level"]) == ("horn", 1)
+    assert json.dumps(cert) in {json.dumps(iq.to_json_dict()) for iq in cone.inequality_system(n, m)}
+
+
+def test_text_ineqs_and_interior_point_run_one_half_search(capsys, half_searches):
+    code, out, err = run(capsys, "ineqs", "-n", "2", "-m", "9")
+    assert (code, err) == (0, "")
+    assert out.count("trace level=") == 4
+    assert half_searches == [(2, 9)]
+    assert cone.interior_point(2, 9) == ((2, 1),) * 9
+    assert half_searches == [(2, 9)] * 2
+
+
 def test_ineqs_json_crash_part_way_is_internal(capsys, monkeypatch):
     def crash(n, m):
         raise RuntimeError("boom")

@@ -28,7 +28,7 @@ from kleinhorn.cone import (
     system_rows,
 )
 from kleinhorn.oracle import rational_member, witness_search
-from kleinhorn.partitions import partitions_in_box, to_json
+from kleinhorn.partitions import is_partition, partitions_in_box, to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -125,7 +125,8 @@ def test_horn_levels_match_dfs_at_every_level(n, m):
 
 # one chain walk per distinct rows of a body, at every level (its state), and
 # one centre listing per group of equal states and centre row that meets a
-# partner group, for the one search horn_index_set reads its first level from
+# partner group, for the one search horn_index_set reads its first level from,
+# made on every call
 @pytest.mark.parametrize(
     "n,m,walks,listings", [(4, 5, 38, 186), (2, 9, 36, 26), (3, 7, 175, 55), (3, 5, 13, 45)]
 )
@@ -143,7 +144,7 @@ def test_horn_index_set_chain_walks(monkeypatch, n, m, walks, listings):
 
     for name in ("_chain_state", "_chain_step"):
         monkeypatch.setattr(cone, name, counted(name))
-    horn_index_set.__wrapped__(n, m)
+    horn_index_set(n, m)
     assert calls == {"_chain_state": walks, "_chain_step": listings}
 
 
@@ -234,13 +235,18 @@ def test_inequality_system_rejects_even_m():
 
 
 def test_index_set_refuses_non_int_n_or_m_cold_and_warm():
-    # both caches are typed, so an equal float, bool or Fraction is its own key:
-    # refused on a cleared cache and after the int call alike
-    for fn in (horn_index_set, inequality_system):
+    # an equal float, bool or Fraction is refused on a cleared cache and after the
+    # int call alike: horn_index_set keeps no memo, inequality_system's is typed,
+    # and member_cone checks its sizes before _level_masks' memo
+    def decide(n, m):
+        return member_cone([(1,), (2,), (1,)], n, m)
+
+    for fn, clear in ((horn_index_set, lambda: None), (inequality_system, inequality_system.cache_clear),
+                      (decide, cone._level_masks.cache_clear)):
         for n, m, message in ((2.0, 3, "need int n, got 2.0"), (2, 3.0, "need int m, got 3.0"),
                               (True, 3, "need int n, got True"), (1, Fraction(3), "need int m, got Fraction(3, 1)")):
             for warm_up in (False, True):
-                fn.cache_clear()
+                clear()
                 if warm_up:
                     fn(int(n), int(m))
                 with pytest.raises(ValueError) as caught:
@@ -317,6 +323,25 @@ def _random_tuple(rng: random.Random, n: int, m: int, kind: str):
         return [row() for _ in range(m)]
     if kind == "small denominators":
         return [row(rng.choice((1, 2, 3, 6))) for _ in range(m)]
+    if kind == "boundary":
+        # row i is mu(i-1) + mu(i) or their union, for a chain mu of small
+        # partitions, about half of them empty: a member, often on a facet of some
+        # level; then one part of an inner row, the rows every level reads,
+        # moves by one where that leaves a partition
+        mus = [tuple(sorted((rng.randint(1, 2) for _ in range(rng.choice((0, rng.randint(1, n))))), reverse=True))
+               for _ in range(m + 1)]
+        rows = []
+        for a, b in zip(mus, mus[1:]):
+            if len(a) + len(b) <= n and rng.random() < 0.5:
+                rows.append(tuple(sorted(a + b, reverse=True)))
+            else:
+                rows.append(tuple(x + y for x, y in zip_longest(a, b, fillvalue=0)))
+        i, j = rng.randrange(1, m - 1), rng.randrange(n)
+        parts = list(rows[i]) + [0] * (n - len(rows[i]))
+        parts[j] += rng.choice((-1, 1))
+        if is_partition(parts):
+            rows[i] = tuple(parts)
+        return rows
     rows = [row() for _ in range(m)]
     i = rng.randrange(m)
     if kind == "large prime denominator":
@@ -330,22 +355,25 @@ def _random_tuple(rng: random.Random, n: int, m: int, kind: str):
 
 # draws per kind: Inequality.value on Fraction rows takes about 0.1 s per
 # member tuple at (3,7), where the system has 3,298 rows
-_BY_VALUE_DRAWS = {(4, 5): 12, (3, 7): 12}
+_BY_VALUE_DRAWS = {(4, 5): 10, (3, 7): 10}
 
 
 @pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (2, 7), (4, 5), (3, 7)])
 def test_member_cone_matches_evaluation_by_value(n, m):
     rng = random.Random(1000 * n + m)
     origins = Counter()
-    for kind in ("integer", "small denominators", "large prime denominator", "malformed"):
+    deeper = 0  # certificates of a level past the first, read back from its masks
+    for kind in ("integer", "small denominators", "large prime denominator", "malformed", "boundary"):
         for _ in range(_BY_VALUE_DRAWS.get((n, m), 60)):
             lams = _random_tuple(rng, n, m, kind)
             verdict = member_cone(lams, n, m)
             assert verdict == member_cone_by_value(lams, n, m), (kind, lams)
             origins[verdict.certificate.origin if verdict.certificate else "member"] += 1
+            deeper += bool(verdict.certificate and verdict.certificate.level)
     assert origins["member"]
     assert origins["trace"] + origins["horn"]
     assert origins["monotone"] + origins["nonneg"]
+    assert m < 5 or deeper
 
 
 def test_member_single_row_examples():
