@@ -102,18 +102,21 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     Each is an m-tuple of sorted subsets of {1..n}.  A tuple qualifies when
     not every subset is full, the first two and last two subsets have equal
     cardinalities, every adjusted conjugate is a partition, and their chained
-    coefficient is exactly one.  They are L + T for each left half L and
-    tail T of the first level of _horn_levels(n, m), in its order, built on
-    every call: the system's readers take their levels from _horn_levels.
+    coefficient is exactly one.  The first is the all-empty tuple, which
+    _horn_levels drops and only this function puts back, after _horn_levels
+    has checked n and m; the rest are L + T for each left half L and tail T
+    of _horn_levels(n, m)[0], in its order, built on every call.
     """
-    return tuple(left + tail for left, tails in _horn_levels(n, m)[0] for tail in tails)
+    first = _horn_levels(n, m)[0]
+    return (((),) * m, *(left + tail for left, tails in first for tail in tails))
 
 
 def _horn_levels(n: int, m: int) -> list[list[tuple[tuple, list]]]:
-    """horn_index_set(n, m - 2k) for k = 0, 1, ..., (m - 3) // 2, uncached, from one search.
+    """horn_index_set(n, m - 2k)[1:] for k = 0, 1, ..., (m - 3) // 2, uncached, from one search.
 
-    Level k lists (L, tails of L) pairs, and the tuples of horn_index_set(n, m - 2k)
-    are L + T for each left half L and each tail T of L, in that order.
+    Level k lists (L, tails of L) pairs: the tuples of horn_index_set(n, m - 2k)
+    but the all-empty one are L + T for each L and each tail T of L, in that
+    order.  A level can be empty (n = 1, length 3).  Readers only read the lists.
 
     Take one odd length l, with 0-based positions and centre c = (l - 1)/2.  Row
     i of a tuple I is the adjusted conjugate of I_i; it is shifted by
@@ -191,11 +194,15 @@ def _horn_levels(n: int, m: int) -> list[list[tuple[tuple, list]]]:
       first a partner of every right of the second.  So each qualifying tuple
       is listed once.
 
-    The all-full tuple passes every screen with count 1 and is taken out.  The
-    search meets the bodies of a level in lexicographic order, so the lefts
-    come in lexicographic order as pairs (body, centre), and each left's tails
-    are sorted, so the tuples come in lexicographic order without sorting
-    them: every L has c + 1 subsets.  (subsets_of_range lists subsets in tuple
+    The all-full tuple passes every screen with count 1 and is taken out, and
+    so is the all-empty tuple, whose window is zero: not every subset is full,
+    every cardinality and shift is 0, so every row is n zeros, and the chain
+    count of empty partitions is 1.  It is first in every level, as () is the
+    least subset, and the only tuple whose window is zero.  The search meets
+    the bodies of a level in lexicographic order, so the lefts come in
+    lexicographic order as pairs (body, centre), and each left's tails are
+    sorted, so the tuples come in lexicographic order without sorting them:
+    every L has c + 1 subsets.  (subsets_of_range lists subsets in tuple
     order, so tuple order is product order.)  Each subset's row is built once
     per call and each shift of it once, each state once per distinct rows, and
     each centre listing once per group, centre row and partner side.  The
@@ -318,7 +325,7 @@ def _horn_levels(n: int, m: int) -> list[list[tuple[tuple, list]]]:
         level = []
         for i, j in sorted(partners):
             tails, left = partners.pop((i, j)), bodies[d][i] + (subsets[j],)
-            if left.count(full) == d + 2:
+            if left.count(full) == d + 2 or not any(left):  # all full or all empty
                 tails.remove(left[-2::-1])
             if tails:
                 tails.sort()
@@ -347,14 +354,8 @@ def system_rows(n: int, m: int):
     each of the level's tuples L + T in its order; then _domain_rows.
 
     The all-empty tuple, whose window is zero, is suppressed and counted, never
-    emitted; it is the first tuple of every level, so each level skips one
-    tuple and the suppressed count is the number of levels, (m - 1) // 2.
-    It qualifies: not every subset is full, all cardinalities are 0, every shift
-    |I_i| - |I_(i-1)| - |I_(i+1)| is 0, so every adjusted conjugate is n zeros,
-    a partition, and the chain count of empty partitions is 1.  It comes first
-    because () is the least subset in tuple order and the set is in
-    lexicographic order.  It is the only tuple with no nonempty subset, so no
-    other window is zero.
+    emitted: _horn_levels drops it from every level, so the suppressed count
+    is the number of levels, (m - 1) // 2.
 
     Every matrix is m references into _row_table(n).  member_cone's
     certificates come from the same _cone_row and _domain_rows, so each row
@@ -362,7 +363,6 @@ def system_rows(n: int, m: int):
     """
     for level, pairs in enumerate(_horn_levels(n, m)):
         yield _cone_row(n, level, (tuple(range(1, n + 1)),) * (m - 2 * level))
-        del pairs[0][1][0]  # the all-empty tuple, which comes first, is suppressed
         yield from (_cone_row(n, level, left + tail) for left, tails in pairs for tail in tails)
     yield from _domain_rows(n, m)
 
@@ -388,14 +388,13 @@ def system_json(n: int, m: int):
     yield f'{{"n":{n},"m":{m},"suppressed_trivial":{len(levels)},"inequalities":['
     for level, pairs in enumerate(levels):
         signs = ([minus, plus] * m)[: m - 2 * level]  # inner row i takes the -1 row at odd i
-        tail_signs = signs[len(pairs[0][0]) :]  # a left half holds positions 0..c
+        tail_signs = signs[(m + 1) // 2 - level :]  # a left half holds positions 0..c
         pad = (to_json(zero) + ",") * level
         end = ("," + to_json(zero)) * level + "]}"
         yield (
             f'{"," if level else ""}{{"origin":"trace","level":{level},"subsets":null,"position":null,'
             f'"coeffs":[{pad}{",".join(sign[full] for sign in signs)}{end}'
         )
-        del pairs[0][1][0]  # the all-empty tuple, which comes first, is suppressed
         texts = {}  # tail -> its subsets' text and its coefficient rows' text
         for left, tails in pairs:
             head = f',{{"origin":"horn","level":{level},"subsets":[{",".join(map(subset.__getitem__, left))},'
@@ -454,10 +453,10 @@ def _domain_rows(n: int, m: int) -> tuple[Inequality, ...]:
 def _level_masks(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Each level's rows of system_rows(n, m) as bitmasks, from one _horn_levels(n, m) call.
 
-    Level k lists the trace tuple, then the tuples L + T but the all-empty one,
-    in system order; bit j - 1 stands for element j.  Odd positions i (from 1)
-    hold the complement: -S(I) = S(complement of I) - S(full), so a row is
-    positive iff its sum of subset sums exceeds the window's full sums at odd
+    Level k lists the trace tuple, then the tuples L + T, in system order;
+    bit j - 1 stands for element j.  Odd positions i (from 1) hold the
+    complement: -S(I) = S(complement of I) - S(full), so a row is positive
+    iff its sum of subset sums exceeds the window's full sums at odd
     positions.  Each left's masks and each distinct tail's are made once.
     """
     levels, full = _horn_levels(n, m), (1 << n) - 1
@@ -465,8 +464,7 @@ def _level_masks(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     flip = [full if i % 2 else 0 for i in range(1, m + 1)]
     found = []
     for level, pairs in enumerate(levels):
-        del pairs[0][1][0]  # the all-empty tuple, which comes first, is suppressed
-        rest = flip[len(pairs[0][0]) :]  # a tail's flips
+        rest = flip[(m + 1) // 2 - level :]  # a tail's flips
         parts = {t: tuple(mask[s] ^ f for s, f in zip(t, rest)) for t in {t for _, ts in pairs for t in ts}}
         entries = [tuple(full ^ f for f in flip[: m - 2 * level])]
         for left, tails in pairs:

@@ -124,7 +124,7 @@ def check_subset(zs: tuple, n: int) -> None:
     """Raise ValueError unless zs is a strictly increasing tuple of integers in 1..n."""
     prev = 0
     for z in zs:
-        if not isinstance(z, int):
+        if type(z) is not int:
             raise ValueError(f"subset must contain integers: {zs!r}")
         if z <= 0 or z > n:
             raise ValueError(f"subset {zs!r} not inside 1..{n}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import random
 from collections import Counter
@@ -116,11 +117,37 @@ def test_horn_index_set_starts_with_all_empty_tuple(n, m):
 
 @pytest.mark.parametrize("n,m", [(1, 9), (2, 9), (3, 7), (4, 5), (5, 3), (5, 5)])
 def test_horn_levels_match_dfs_at_every_level(n, m):
-    # one search files the halves of every level; level k is the (n, m - 2k) index set
+    # one search files the halves of every level; level k is the (n, m - 2k)
+    # index set without its first tuple, the all-empty one
     levels = cone._horn_levels(n, m)
     assert len(levels) == (m - 1) // 2
     for k, level in enumerate(levels):
-        assert tuple(left + tail for left, tails in level for tail in tails) == horn_index_set_by_dfs(n, m - 2 * k)
+        assert tuple(left + tail for left, tails in level for tail in tails) == horn_index_set_by_dfs(n, m - 2 * k)[1:]
+        assert all(any(left + tail) for left, tails in level for tail in tails)  # no all-empty tuple
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (1, 5)])
+def test_readers_leave_horn_levels_as_built(monkeypatch, n, m):
+    # every reader only reads the levels; at (1, 5) the window-3 level is empty
+    built = []
+    build = cone._horn_levels
+
+    def kept(n, m):
+        levels = build(n, m)
+        built.append((levels, copy.deepcopy(levels)))
+        return levels
+
+    monkeypatch.setattr(cone, "_horn_levels", kept)
+    for _ in system_rows(n, m):
+        pass
+    "".join(system_json(n, m))
+    cone._level_masks.cache_clear()
+    cone._level_masks(n, m)
+    cone._level_masks.cache_clear()
+    horn_index_set(n, m)
+    assert len(built) == 4
+    for levels, as_built in built:
+        assert levels == as_built
 
 
 # one chain walk per distinct rows of a body, at every level (its state), and
@@ -157,6 +184,9 @@ def test_horn_index_set_rejects_even_or_tiny_m():
     assert not isinstance(caught.value, UnsupportedLengthError)
     with pytest.raises(ValueError):
         horn_index_set(0, 3)
+    # m is checked before the all-empty tuple ((),) * m is built
+    with pytest.raises(UnsupportedLengthError):
+        horn_index_set(2, 10**20)
 
 
 def test_inequality_system_n1_m3_coefficients():

@@ -170,7 +170,7 @@ def test_partition_of_subset_rejects_bad_input():
         check_subset((1.5,), 2)
 
 
-@pytest.mark.parametrize("bad", [(0,), (4,), (2, 2), (3, 1)])
+@pytest.mark.parametrize("bad", [(0,), (4,), (2, 2), (3, 1), (True,)])
 def test_subset_validators_agree_on_rejection(bad):
     n = 3
     with pytest.raises(ValueError):
