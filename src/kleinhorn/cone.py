@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import compress, product
-from operator import getitem
+from itertools import chain, compress, count, product
+from operator import add, getitem
 
 from .oracle import witness_chain
 from .partitions import (
@@ -450,36 +450,42 @@ def _domain_rows(n: int, m: int) -> tuple[Inequality, ...]:
 
 
 @cache
-def _level_masks(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Each level's rows of system_rows(n, m) as bitmasks, from one _horn_levels(n, m) call.
+def _level_halves(n: int, m: int) -> tuple[tuple, ...]:
+    """Each level of one _horn_levels(n, m) call as bitmask columns over its distinct halves.
 
-    Level k lists the trace tuple, then the tuples L + T, in system order;
-    bit j - 1 stands for element j.  Odd positions i (from 1) hold the
-    complement: -S(I) = S(complement of I) - S(full), so a row is positive
-    iff its sum of subset sums exceeds the window's full sums at odd
-    positions.  Each left's masks and each distinct tail's are made once.
+    Level k is (left columns, tail columns, tail lists, picks, lefts, tails): lefts are the
+    trace tuple's left half, then the lefts L in order; tails are the distinct tails T, the
+    trace's first; column i holds each half's mask at position i; left i's tails are the
+    positions in tails listed at lists[picks[i]].  Bit j - 1 is element j, and odd positions
+    from 1 hold the complement: -S(I) = S(complement of I) - S(full), so a row L + T is
+    positive iff its subset sums exceed the window's full sums at odd positions.
     """
-    levels, full = _horn_levels(n, m), (1 << n) - 1
-    mask = {s: sum(1 << (j - 1) for j in s) for s in subsets_of_range(n)}
-    flip = [full if i % 2 else 0 for i in range(1, m + 1)]
-    found = []
-    for level, pairs in enumerate(levels):
-        rest = flip[(m + 1) // 2 - level :]  # a tail's flips
-        parts = {t: tuple(mask[s] ^ f for s, f in zip(t, rest)) for t in {t for _, ts in pairs for t in ts}}
-        entries = [tuple(full ^ f for f in flip[: m - 2 * level])]
-        for left, tails in pairs:
-            head = tuple(mask[s] ^ f for s, f in zip(left, flip))
-            entries += [head + parts[tail] for tail in tails]
-        found.append(tuple(entries))
+    full, mask = (1 << n) - 1, {s: sum(1 << (j - 1) for j in s) for s in subsets_of_range(n)}
+    found, trace = [], (tuple(range(1, n + 1)),) * ((m + 1) // 2)
+    for level, pairs in enumerate(_horn_levels(n, m)):
+        c, at, lists = (m - 1) // 2 - level, {}, {}
+        pairs = [(trace[level:], [trace[level + 1 :]]), *pairs]
+        picks = tuple(lists.setdefault(tuple(at.setdefault(t, len(at)) for t in ts), len(lists)) for _, ts in pairs)
+        lefts, tails = tuple(left for left, _ in pairs), tuple(at)
+        left_columns = tuple(tuple(mask[left[i]] ^ full * (i % 2 == 0) for left in lefts) for i in range(c + 1))
+        tail_columns = tuple(tuple(mask[tail[i]] ^ full * ((c + i) % 2) for tail in tails) for i in range(c))
+        found.append((left_columns, tail_columns, tuple(lists), picks, lefts, tails))
     return tuple(found)
 
 
+def _half_values(window, columns):
+    """A lazy map of each half's sum of subset sums: window[i][its mask in column i], summed over i."""
+    values = map(window[0].__getitem__, columns[0])
+    for sums, column in zip(window[1:], columns[1:]):
+        values = map(add, values, map(sums.__getitem__, column))
+    return values
+
+
 @cache
-def _certificate(n: int, m: int, level: int, index: int) -> Inequality:
-    """The _cone_row of entry index of _level_masks(n, m)[level], its subsets read back from the masks."""
-    subset, flip = {sum(1 << (j - 1) for j in s): s for s in subsets_of_range(n)}, (1 << n) - 1
-    entry = _level_masks(n, m)[level][index]
-    return _cone_row(n, level, tuple(subset[e ^ flip * (i % 2)] for i, e in enumerate(entry, 1)))
+def _certificate(n: int, m: int, level: int, left: int, tail: int) -> Inequality:
+    """The _cone_row of lefts[left] + tails[tail] of _level_halves(n, m)[level]."""
+    lefts, tails = _level_halves(n, m)[level][4:]
+    return _cone_row(n, level, lefts[left] + tails[tail])
 
 
 def member_cone(lams, n: int, m: int) -> MembershipVerdict:
@@ -494,12 +500,14 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
     m, the row count and the width and scales the parts to ints (every row
     is linear and homogeneous, so a positive scale keeps each sign and the
     first violated row), and zero-padded to n parts; an even m then raises
-    UnsupportedLengthError.  Each row's subset sums are taken once, and a
-    row's value is m - 2k list lookups, by its _level_masks entry.  The first
-    violated row is the certificate, equal to the system's row.
+    UnsupportedLengthError.  Each row's subset sums are taken once.  A row L + T
+    has value V(L) + V(T), so by _level_halves each left and distinct tail is
+    summed once per level.  A level lists the trace row, then each left's tails
+    in order: its first violated row, the certificate, is the first left over
+    the bound with its largest tail, and its first such tail.
     """
     rows = [row + (0,) * (n - len(row)) for row in read_rows(lams, n, m)[0]]
-    masks = _level_masks(n, m)  # _horn_levels refuses an even m
+    halves = _level_halves(n, m)  # _horn_levels refuses an even m
     violated = [row[j - 1] < row[j] for row in rows for j in range(1, n)] + [row[-1] < 0 for row in rows]
     for iq in compress(_domain_rows(n, m), violated):
         return MembershipVerdict(False, iq, note="domain")
@@ -509,13 +517,18 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
         for x in row:
             row_sums += [s + x for s in row_sums]
         sums.append(row_sums)
-    for level, entries in enumerate(masks):
-        window = sums[level : m - level]
+    for level, (left_columns, tail_columns, lists, picks, _, _) in enumerate(halves):
+        window, note = sums[level : m - level], f"level {level} (window length {m - 2 * level})"
         bound = sum(s[-1] for s in window[::2])
-        for index, entry in enumerate(entries):
-            if sum(map(getitem, window, entry)) > bound:
-                note = f"level {level} (window length {m - 2 * level})"
-                return MembershipVerdict(False, _certificate(n, m, level, index), note=note)
+        if sum(s[-1] for s in window[1::2]) > bound:  # the trace row, left 0 with tail 0
+            return MembershipVerdict(False, _certificate(n, m, level, 0, 0), note=note)
+        tail_values = list(_half_values(window[len(left_columns) :], tail_columns))
+        best = [max(map(tail_values.__getitem__, tails)) for tails in lists]
+        totals = map(add, _half_values(window, left_columns), map(best.__getitem__, picks))
+        for left in compress(count(), map(bound.__lt__, totals)):  # lefts are summed up to it
+            room = bound - sum(s[column[left]] for s, column in zip(window, left_columns))
+            tail = next(t for t in lists[picks[left]] if tail_values[t] > room)
+            return MembershipVerdict(False, _certificate(n, m, level, left, tail), note=note)
     return MembershipVerdict(True, None, note="all levels hold")
 
 
@@ -628,7 +641,7 @@ def member_single_row(lams, m: int) -> MembershipVerdict:
 def interior_point(n: int, m: int):
     """The staircase tuple (rho,) * m, rho = (n, ..., 1), strictly inside the cone.
 
-    Raises RuntimeError unless Inequality.value (member_cone's bitmask check does
+    Raises RuntimeError unless Inequality.value (member_cone's subset sums do
     not use it) is negative on it for every row.  It always is: monotone and nonneg rows read
     -1, trace rows -|rho|.  A horn row of a qualifying (I_1..I_L), r_t = |I_t|,
     reads V = sum (-1)^t (r_t (n+1) - sum I_t).  The adjusted conjugates have sizes
@@ -640,7 +653,9 @@ def interior_point(n: int, m: int):
     row, which system_rows suppresses.  The identity for -2V was checked
     against Inequality.value on every horn row with n*m <= 30.
     """
+    rows = system_rows(n, m)
+    first = next(rows)  # _horn_levels checks n and m before the point is built
     point = (tuple(range(n, 0, -1)),) * m
-    if any(iq.value(point) >= 0 for iq in system_rows(n, m)):
+    if any(iq.value(point) >= 0 for iq in chain((first,), rows)):
         raise RuntimeError(f"the staircase tuple is not strictly interior for n={n}, m={m}")
     return point

@@ -195,14 +195,14 @@ def half_searches(monkeypatch):
 
     monkeypatch.setattr(cone, "_horn_levels", counted)
     monkeypatch.setattr(cone, "horn_index_set", refuse)
-    cone._level_masks.cache_clear()
+    cone._level_halves.cache_clear()
     cone._certificate.cache_clear()
     return calls
 
 
 @pytest.mark.parametrize("n,m,types", [(2, 7, "1;2;1,1;;;;"), (3, 5, "1;;2;1,1;1")])
 def test_decide_runs_one_half_search(capsys, half_searches, n, m, types):
-    # the certificate is a level-1 row, read back from masks of the one search
+    # the certificate is a level-1 row, a left and tail of the halves of the one search
     code, out, err = run(capsys, "decide", "-n", str(n), "-m", str(m), "--json", types)
     assert (code, err) == (1, "")
     assert half_searches == [(n, m)]

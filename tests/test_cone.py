@@ -141,9 +141,9 @@ def test_readers_leave_horn_levels_as_built(monkeypatch, n, m):
     for _ in system_rows(n, m):
         pass
     "".join(system_json(n, m))
-    cone._level_masks.cache_clear()
-    cone._level_masks(n, m)
-    cone._level_masks.cache_clear()
+    cone._level_halves.cache_clear()
+    cone._level_halves(n, m)
+    cone._level_halves.cache_clear()
     horn_index_set(n, m)
     assert len(built) == 4
     for levels, as_built in built:
@@ -267,12 +267,12 @@ def test_inequality_system_rejects_even_m():
 def test_index_set_refuses_non_int_n_or_m_cold_and_warm():
     # an equal float, bool or Fraction is refused on a cleared cache and after the
     # int call alike: horn_index_set keeps no memo, inequality_system's is typed,
-    # and member_cone checks its sizes before _level_masks' memo
+    # and member_cone checks its sizes before _level_halves' memo
     def decide(n, m):
         return member_cone([(1,), (2,), (1,)], n, m)
 
     for fn, clear in ((horn_index_set, lambda: None), (inequality_system, inequality_system.cache_clear),
-                      (decide, cone._level_masks.cache_clear)):
+                      (decide, cone._level_halves.cache_clear)):
         for n, m, message in ((2.0, 3, "need int n, got 2.0"), (2, 3.0, "need int m, got 3.0"),
                               (True, 3, "need int n, got True"), (1, Fraction(3), "need int m, got Fraction(3, 1)")):
             for warm_up in (False, True):
@@ -385,14 +385,14 @@ def _random_tuple(rng: random.Random, n: int, m: int, kind: str):
 
 # draws per kind: Inequality.value on Fraction rows takes about 0.1 s per
 # member tuple at (3,7), where the system has 3,298 rows
-_BY_VALUE_DRAWS = {(4, 5): 10, (3, 7): 10}
+_BY_VALUE_DRAWS = {(4, 5): 10, (3, 7): 10, (2, 9): 10}
 
 
-@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (2, 7), (4, 5), (3, 7)])
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (1, 5), (2, 5), (3, 5), (2, 7), (4, 5), (3, 7), (2, 9)])
 def test_member_cone_matches_evaluation_by_value(n, m):
     rng = random.Random(1000 * n + m)
     origins = Counter()
-    deeper = 0  # certificates of a level past the first, read back from its masks
+    deeper = 0  # certificates of a level past the first, a left and tail of its halves
     for kind in ("integer", "small denominators", "large prime denominator", "malformed", "boundary"):
         for _ in range(_BY_VALUE_DRAWS.get((n, m), 60)):
             lams = _random_tuple(rng, n, m, kind)
@@ -514,6 +514,13 @@ def test_interior_points_are_strict():
         for row in point:
             assert all(x > y for x, y in zip(row, row[1:]))
             assert row[-1] > 0
+    # the system's checks run before the point is built
+    for n, m, error, message in ((2, 3.0, ValueError, "need int m, got 3.0"),
+                                 (2.0, 3, ValueError, "need int n, got 2.0"),
+                                 (2, 10**20, UnsupportedLengthError, f"no inequality description for m = {10**20}")):
+        with pytest.raises(error) as caught:
+            interior_point(n, m)
+        assert str(caught.value).startswith(message)
 
 
 def test_interior_point_builds_no_system():

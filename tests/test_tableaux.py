@@ -293,7 +293,7 @@ def test_no_memo_validates_its_arguments():
                 assert "normalize" not in calls, (path.name, node.name)
         wrapped[path.name] = names
     assert {"_walk"} <= wrapped["tableaux.py"]
-    assert {"inequality_system", "_level_masks", "_certificate"} <= wrapped["cone.py"]
+    assert {"inequality_system", "_level_halves", "_certificate"} <= wrapped["cone.py"]
 
 
 def test_kostka_rejects_negative_content():
