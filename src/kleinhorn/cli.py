@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import cone
-from .oracle import clear_denominators, search_canonical, witness_search
+from .oracle import search_canonical, witness_search
 from .partitions import (
-    check_size,
+    clear_denominators,
     format_partition,
     format_subset,
     parse_int_parts,
@@ -236,9 +236,7 @@ def main(argv=None) -> int:
         args = _parser.parse_args(argv)
     except SystemExit as e:  # argparse exits 2 on usage errors, 0 on --help
         return int(e.code or 0)
-    try:
-        if "m" in args:  # no route covers m < 3
-            check_size("m", args.m, 3)
+    try:  # each verb's library call checks n, then m
         return args.handler(args)
     except cone.UnsupportedLengthError as e:
         return _fail(str(e), UNSUPPORTED)

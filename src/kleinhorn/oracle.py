@@ -12,18 +12,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, islice
 from operator import itemgetter, le, sub
 
-from .partitions import (
-    Partition,
-    check_size,
-    format_partition,
-    is_partition,
-    normalize,
-    read_rows,
-)
+from .partitions import Partition, check_size, clear_denominators, is_partition, normalize
 from .tableaux import _listing, lr_coefficient
 
 
@@ -217,26 +209,6 @@ def search_canonical(lams) -> SearchOutcome:
 def witness_chain(lams, n: int) -> WitnessChain | None:
     """The canonical witness chain, or None when no exact sequence exists."""
     return witness_search(lams, n).chain
-
-
-def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
-    """Validate rational rows and scale them to integers: (partitions, scale).
-
-    The rows are read by partitions.read_rows with m = len(lams), which
-    checks n and m, keeps an all-int input as it is, drops zero parts past
-    the n-th and refuses any other.  Then each row must be weakly decreasing
-    and nonnegative, checked in one pass that also strips trailing zeros:
-    a positive scale keeps each order and sign, and a message shows the row
-    as given, read exactly.
-    """
-    rows, scale = read_rows(lams, n, len(lams))
-    for k, row in enumerate(rows):
-        if not is_partition(row):
-            given = format_partition(Fraction(x, scale) for x in row)
-            raise ValueError(f"row {k + 1} ({given!r}) is not weakly decreasing and nonnegative")
-        if row and not row[-1]:  # zeros come last in a partition
-            rows[k] = row[: len(row) - row.count(0)]
-    return rows, scale
 
 
 def rational_member(lams, n: int) -> bool:

@@ -22,19 +22,18 @@ IntSeq = tuple[int, ...]
 _PART = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
-def is_weakly_decreasing(seq) -> bool:
-    """True iff no entry of seq exceeds the one before it."""
+def is_partition(seq) -> bool:
+    """True iff no entry of seq exceeds the one before it and the last, if any, is nonnegative.
+
+    One pass over seq, which may be any iterable; the entries are not
+    checked for type.
+    """
     prev = None
     for x in seq:
         if prev is not None and prev < x:
             return False
         prev = x
-    return True
-
-
-def is_partition(seq) -> bool:
-    """True iff the sequence seq is weakly decreasing with nonnegative entries."""
-    return is_weakly_decreasing(seq) and not (seq and seq[-1] < 0)
+    return prev is None or prev >= 0
 
 
 def normalize(seq) -> Partition:
@@ -42,9 +41,7 @@ def normalize(seq) -> Partition:
     parts = tuple(seq)
     if not {int}.issuperset(map(type, parts)) or not is_partition(parts):
         raise ValueError(f"not a partition: {parts!r}")
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
+    return parts[: len(parts) - parts.count(0)]  # zeros come last in a partition
 
 
 def check_size(name: str, value, least: int) -> None:
@@ -74,6 +71,25 @@ def read_rows(lams, n: int, m: int):
                 given = format_partition(Fraction(x, scale) for x in row)
                 raise ValueError(f"row {k + 1} ({given!r}) has more than n = {n} parts")
             rows[k] = row[:n]
+    return rows, scale
+
+
+def clear_denominators(lams, n: int) -> tuple[list[Partition], int]:
+    """The rows of lams as canonical partitions of at most n parts: (partitions, scale).
+
+    read_rows with m = len(lams), so n, m, the parts and the widths are
+    checked as it checks them, and scale clears every denominator.  Then
+    each row must be weakly decreasing and nonnegative, which a positive
+    scale leaves as it was given; the first row that is not is refused,
+    shown as given.  The same pass strips each row's trailing zeros.
+    """
+    rows, scale = read_rows(lams, n, len(lams))
+    for k, row in enumerate(rows):
+        if not is_partition(row):
+            given = format_partition(Fraction(x, scale) for x in row)
+            raise ValueError(f"row {k + 1} ({given!r}) is not weakly decreasing and nonnegative")
+        if row and not row[-1]:  # zeros come last in a partition
+            rows[k] = row[: len(row) - row.count(0)]
     return rows, scale
 
 

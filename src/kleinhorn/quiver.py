@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .partitions import check_size, check_subset, is_weakly_decreasing, pad_to, scale_rows
+from .partitions import check_size, check_subset, clear_denominators
 
 Vertex = tuple[int, int]
 APEX: Vertex = (0, 0)
@@ -101,33 +101,29 @@ def weight_pairing(s: dict, b: dict):
 
 
 def weight_of_tuple(lams, n: int) -> dict[Vertex, object]:
-    """Weight attached to a tuple of weakly decreasing rows (length <= n each).
+    """Weight attached to a tuple of rows read by partitions.clear_denominators.
 
     Flag vertex (j, i) carries the signed row difference
-    (-1)^i (lam(i)_j - lam(i)_{j+1}); the apex carries the alternating sum of
-    row sizes (odd positions minus even).  Pairs to zero with the sincere
-    dimension vector.  A part that is not an int, Fraction or finite float
-    is refused as partitions.scale_rows refuses it; every other part keeps
-    its value, so int and Fraction weights are exact.
+    (-1)^i (lam(i)_j - lam(i)_{j+1}), with lam(i)_{n+1} = 0; the apex carries
+    the alternating sum of row sizes (odd positions minus even).  Pairs to
+    zero with the sincere dimension vector.  The rows are refused as every
+    reader refuses them, so each is weakly decreasing and nonnegative and its
+    weight meets the chamber inequalities.  The weights are computed on the
+    scaled int rows and divided by the scale: ints when it is 1, else exact
+    Fractions, a float part read as the binary fraction it holds.
     """
-    check_size("n", n, 1)
-    check_size("m", len(lams), 3)
-    scale_rows(lams)  # for its check of each part; the scaled rows are not used
-    rows = []
-    for idx, lam in enumerate(lams, 1):
-        row = pad_to(tuple(lam), n)
-        if not is_weakly_decreasing(row):
-            raise ValueError(f"row {idx} not weakly decreasing: {tuple(lam)!r}")
-        rows.append(row)
+    rows, scale = clear_denominators(lams, n)
     w: dict[Vertex, object] = {}
     apex = 0
     for i, row in enumerate(rows, 1):
         sign = -1 if i % 2 else 1
         apex -= sign * sum(row)
+        row += (0,) * (n + 1 - len(row))
         for j in range(1, n + 1):
-            nxt = row[j] if j < n else 0
-            w[(j, i)] = sign * (row[j - 1] - nxt)
+            w[(j, i)] = sign * (row[j - 1] - row[j])
     w[APEX] = apex
+    if scale != 1:
+        w = {x: Fraction(v, scale) for x, v in w.items()}
     return w
 
 
@@ -165,10 +161,11 @@ def tuple_of_weight(w: dict, n: int, m: int):
 def dimvector_of_subsets(sets, n: int, at_zero: int) -> dict[Vertex, int]:
     """Dimension vector counting, on arm i, the elements of sets[i-1] at most j.
 
-    Each subset must be a strictly increasing tuple inside 1..n, with n >= 1;
-    raises ValueError otherwise.
+    Checks n >= 1 and m = len(sets) >= 3, then that each subset is a strictly
+    increasing tuple inside 1..n; raises ValueError otherwise.
     """
     check_size("n", n, 1)
+    check_size("m", len(sets), 3)
     d: dict[Vertex, int] = {APEX: at_zero}
     for i, s in enumerate(sets, 1):
         check_subset(s, n)

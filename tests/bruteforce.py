@@ -18,9 +18,10 @@ from collections import Counter, defaultdict
 from itertools import product
 
 from kleinhorn.cone import Inequality, MembershipVerdict, inequality_system
-from kleinhorn.oracle import SearchOutcome, WitnessChain, clear_denominators
+from kleinhorn.oracle import SearchOutcome, WitnessChain
 from kleinhorn.partitions import (
     adjusted_conjugate,
+    clear_denominators,
     contains,
     is_partition,
     normalize,

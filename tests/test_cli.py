@@ -366,6 +366,9 @@ BAD_SIZE_CASES = [
     # sizes are checked before the row count
     pytest.param(("decide", "-n", "0", "-m", "3", ";"), "need n >= 1, got 0", id="decide-n0-short"),
     pytest.param(("witness", "-n", "0", "-m", "3", "1,1"), "need n >= 1, got 0", id="witness-n0-short"),
+    # n is checked before m, as read_rows and every library entry point check them
+    pytest.param(("decide", "-n", "0", "-m", "2", ";"), "need n >= 1, got 0", id="decide-n0-m2"),
+    pytest.param(("snm", "-n", "0", "-m", "1"), "need n >= 1, got 0", id="snm-n0-m1"),
     pytest.param(("ineqs", "-n", "0", "-m", "4"), "need n >= 1, got 0", id="ineqs-n0"),
     pytest.param(("ineqs", "-n", "0", "-m", "4", "--json"), "need n >= 1, got 0", id="ineqs-n0-json"),
     pytest.param(("crosscheck", "-n", "0", "-m", "4", "--bound", "1"), "need n >= 1, got 0", id="crosscheck-n0"),

@@ -17,13 +17,12 @@ from kleinhorn.oracle import (
     SearchOutcome,
     WitnessChain,
     chain_is_valid,
-    clear_denominators,
     rational_member,
     search_canonical,
     witness_chain,
     witness_search,
 )
-from kleinhorn.partitions import partitions_in_box
+from kleinhorn.partitions import clear_denominators, partitions_in_box
 from kleinhorn.quiver import (
     build_star,
     dimvector_of_subsets,
@@ -245,8 +244,9 @@ def test_witness_search_refuses_every_half_integer_tuple():
 
 
 # Every public entry point that reads a size or rows checks them through
-# partitions.check_size and partitions.read_rows, so each bad input has one
-# message.  An entry point takes the arguments it names, from the valid
+# partitions.check_size and partitions.read_rows, and the ones that need
+# partitions through partitions.clear_denominators, so each bad input has
+# one message.  An entry point takes the arguments it names, from the valid
 # defaults below with the case's changes; member_single_row reads at n = 1.
 ENTRY_POINTS = {
     "witness_search": (witness_search, ("lams", "n")),
@@ -277,9 +277,17 @@ VALID = {
     "sets": [(1,), (), (1,)],
     "at_zero": 1,
 }
-READERS = ("witness_search", "witness_chain", "rational_member", "clear_denominators", "member_cone", "member_single_row")
+READERS = (
+    "witness_search",
+    "witness_chain",
+    "rational_member",
+    "clear_denominators",
+    "weight_of_tuple",
+    "member_cone",
+    "member_single_row",
+)
 # the closed routes certify a decreasing or sign violation rather than refuse it
-ORDERED = READERS[:4]
+ORDERED = READERS[:5]
 
 
 def _taking(arg):
@@ -301,20 +309,18 @@ def _bad_inputs():
         cases.append((case, {"lams": lams}, given_m, "expected m = 3 rows, got 2"))
         cases.append((case, {"lams": lams}, counted, "need m >= 3, got 2"))
     cases.append(("long", {"lams": [(1,)] * 4}, given_m, "expected m = 3 rows, got 4"))
+    cases.append(("short", {"sets": [(1,), ()]}, _taking("sets"), "need m >= 3, got 2"))
     wide = [(2,), (1, 1), (1,)]
     cases.append(("wide", {"lams": wide}, set(READERS), "row 2 ('1,1') has more than n = 1 parts"))
-    cases.append(("wide", {"lams": wide}, {"weight_of_tuple"}, "sequence (1, 1) longer than target length 1"))
     for case, bad in (("increasing", (1, 2)), ("negative", (1, -1))):
         changes = {"lams": [(2,), bad, (1,)], "n": 2}
         given = ",".join(map(str, bad))
         cases.append((case, changes, set(ORDERED), f"row 2 ({given!r}) is not weakly decreasing and nonnegative"))
         cases.append((case, changes, {"gen_lr"}, f"not a partition: {bad!r}"))
-    cases.append(("increasing", {"lams": [(2,), (1, 2), (1,)], "n": 2}, {"weight_of_tuple"},
-                  "row 2 not weakly decreasing: (1, 2)"))
     # a part that is not an int, Fraction or finite float is named, not read as a number
     for case, part in (("str", "1"), ("bool", True), ("complex", 1j), ("inf", inf), ("-inf", -inf), ("nan", nan)):
         changes = {"lams": [(part,), (2,), (1,)]}
-        cases.append((case, changes, {*READERS, "weight_of_tuple"}, f"part {part!r} is not an int, Fraction or finite float"))
+        cases.append((case, changes, set(READERS), f"part {part!r} is not an int, Fraction or finite float"))
         cases.append((case, changes, {"gen_lr"}, f"not a partition: {(part,)!r}"))
     return [
         pytest.param(entry, changes, message, id=f"{entry}-{case}")
@@ -340,6 +346,7 @@ def test_public_entry_points_accept_trailing_zeros():
     assert witness_chain(lams, 1) == chain
     assert rational_member(lams, 1)
     assert rational_member([(Fraction(1, 2), 0), (Fraction(1, 2),), (0, 0)], 1)
+    assert weight_of_tuple(lams, 1) == weight_of_tuple([(2,), (1,), (1,)], 1)
 
 
 def test_search_canonical_takes_cleared_rows():

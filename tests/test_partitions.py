@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import re
 from fractions import Fraction
+from operator import ge
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from kleinhorn.partitions import (
     format_partition,
     format_subset,
     is_partition,
-    is_weakly_decreasing,
     normalize,
     pad_to,
     parse_int_parts,
@@ -43,6 +43,8 @@ def test_normalize_strips_and_validates():
     assert normalize((3, 1, 0, 0)) == (3, 1)
     assert normalize(()) == ()
     assert normalize((0, 0)) == ()
+    # every zero is stripped at once, not one at a time
+    assert normalize((2, 1) + (0,) * 10**6) == (2, 1)
     with pytest.raises(ValueError):
         normalize((1, 2))
     with pytest.raises(ValueError):
@@ -107,9 +109,13 @@ def _strings(node, func=None):
 
 def test_sizes_and_rows_are_checked_in_one_place():
     # a size message (need int x, need x >= k), a row-width or row-count
-    # message or a refused part is written in check_size, read_rows or
-    # scale_rows and nowhere else
-    message = re.compile(r"need int |need \S+ >= |need at least |more than n = |longer than n = |rows, got |is not an int, ")
+    # message, a refused part or a refused row order is written in
+    # check_size, read_rows, scale_rows, normalize or clear_denominators
+    # and nowhere else
+    message = re.compile(
+        r"need int |need \S+ >= |need at least |more than n = |longer than n = |rows, got |is not an int, "
+        r"|not weakly decreasing|not a partition"
+    )
     found = set()
     for path in sorted(Path(kleinhorn.__file__).parent.glob("*.py")):
         for func, text in _strings(ast.parse(path.read_text())):
@@ -121,6 +127,8 @@ def test_sizes_and_rows_are_checked_in_one_place():
         ("partitions.py", "read_rows", "expected m = {} rows, got {}"),
         ("partitions.py", "read_rows", "row {} ({}) has more than n = {} parts"),
         ("partitions.py", "scale_rows", "part {} is not an int, Fraction or finite float"),
+        ("partitions.py", "normalize", "not a partition: {}"),
+        ("partitions.py", "clear_denominators", "row {} ({}) is not weakly decreasing and nonnegative"),
     }
     assert not hasattr(cone, "_pad_rows")
 
@@ -176,7 +184,7 @@ def test_subset_validators_agree_on_rejection(bad):
     with pytest.raises(ValueError):
         partition_of_subset(bad, n)
     with pytest.raises(ValueError):
-        dimvector_of_subsets((bad,), n, 0)
+        dimvector_of_subsets((bad, (), ()), n, 0)
 
 
 def test_adjusted_conjugate_branches():
@@ -202,7 +210,8 @@ def test_adjusted_conjugate_always_weakly_decreasing():
         subs = subsets_of_range(n)
         for combo in product(subs, repeat=3):
             for i in (1, 2, 3):
-                assert is_weakly_decreasing(adjusted_conjugate(combo, i, n))
+                row = adjusted_conjugate(combo, i, n)  # may hold negative entries
+                assert all(map(ge, row, row[1:]))
 
 
 def test_contains():

@@ -200,6 +200,16 @@ def test_weight_of_tuple_rejects_bad_rows():
         weight_of_tuple([(1, 1, 1), (1,), (1,)], 2)
 
 
+def test_weight_of_tuple_reads_parts_exactly():
+    # a float part is the binary fraction it holds, so its weights are Fractions
+    w = weight_of_tuple([(0.5,), (1,), (0.5,)], 1)
+    assert w == {(1, 1): Fraction(-1, 2), (1, 2): 1, (1, 3): Fraction(-1, 2), APEX: 0}
+    assert all(type(v) is Fraction for v in w.values())
+    # parts of integer value give int weights, whatever their type
+    w = weight_of_tuple([(Fraction(4, 2),), (2.0,), ()], 1)
+    assert all(type(v) is int for v in w.values())
+
+
 def test_tuple_of_weight_roundtrip_exhaustive():
     grid = [(), (1,), (2,), (1, 1), (2, 1)]
     for lams in product(grid, repeat=3):
