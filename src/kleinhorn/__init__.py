@@ -18,7 +18,6 @@ from .partitions import (
     format_subset,
     is_partition,
     normalize,
-    pad_to,
     parse_partition,
     parse_rational_parts,
     parse_rational_rows,

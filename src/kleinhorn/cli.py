@@ -230,6 +230,8 @@ _parser = None  # built by the first main call, not at import
 
 def main(argv=None) -> int:
     global _parser
+    if hasattr(sys, "set_int_max_str_digits"):  # parts, scales and counts of any length are read and written
+        sys.set_int_max_str_digits(0)
     if _parser is None:
         _parser = build_parser()
     try:

@@ -105,18 +105,18 @@ def horn_index_set(n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     coefficient is exactly one.  The first is the all-empty tuple, which
     _horn_levels drops and only this function puts back, after _horn_levels
     has checked n and m; the rest are L + T for each left half L and tail T
-    of _horn_levels(n, m)[0], in its order, built on every call.
+    of _horn_levels(n, m)[0] after the first, the trace, in order, built on every call.
     """
     first = _horn_levels(n, m)[0]
-    return (((),) * m, *(left + tail for left, tails in first for tail in tails))
+    return (((),) * m, *(left + tail for left, tails in first[1:] for tail in tails))
 
 
 def _horn_levels(n: int, m: int) -> list[list[tuple[tuple, list]]]:
-    """horn_index_set(n, m - 2k)[1:] for k = 0, 1, ..., (m - 3) // 2, uncached, from one search.
+    """The rows of each level k = 0, 1, ..., (m - 3) // 2 in system order, uncached, from one search.
 
-    Level k lists (L, tails of L) pairs: the tuples of horn_index_set(n, m - 2k)
-    but the all-empty one are L + T for each L and each tail T of L, in that
-    order.  A level can be empty (n = 1, length 3).  Readers only read the lists.
+    Level k lists (L, tails of L) pairs, whose rows L + T, in that order, are
+    the trace tuple (full,) * (m - 2k), then horn_index_set(n, m - 2k) but the
+    all-empty tuple.  Readers only read the lists.
 
     Take one odd length l, with 0-based positions and centre c = (l - 1)/2.  Row
     i of a tuple I is the adjusted conjugate of I_i; it is shifted by
@@ -194,19 +194,20 @@ def _horn_levels(n: int, m: int) -> list[list[tuple[tuple, list]]]:
       first a partner of every right of the second.  So each qualifying tuple
       is listed once.
 
-    The all-full tuple passes every screen with count 1 and is taken out, and
-    so is the all-empty tuple, whose window is zero: not every subset is full,
-    every cardinality and shift is 0, so every row is n zeros, and the chain
-    count of empty partitions is 1.  It is first in every level, as () is the
-    least subset, and the only tuple whose window is zero.  The search meets
-    the bodies of a level in lexicographic order, so the lefts come in
-    lexicographic order as pairs (body, centre), and each left's tails are
-    sorted, so the tuples come in lexicographic order without sorting them:
-    every L has c + 1 subsets.  (subsets_of_range lists subsets in tuple
-    order, so tuple order is product order.)  Each subset's row is built once
-    per call and each shift of it once, each state once per distinct rows, and
-    each centre listing once per group, centre row and partner side.  The
-    walks take the canonical rows as they are, without gen_lr's checks.
+    The all-full tuple passes every screen with count 1 and is moved from its
+    left's tails to the front as the trace row.  The all-empty tuple, whose
+    window is zero, is taken out: not every subset is full, every cardinality
+    and shift is 0, so every row is n zeros, and the chain count of empty
+    partitions is 1.  It is first in every index set, as () is the least subset,
+    and the only tuple whose window is zero.  The search meets the bodies of a
+    level in lexicographic order, so the lefts come in lexicographic order as
+    pairs (body, centre), and each left's tails are sorted, so the tuples after
+    the trace come in lexicographic order without sorting them: every L has
+    c + 1 subsets.  (subsets_of_range lists subsets in tuple order, so tuple
+    order is product order.)  Each subset's row is built once per call and
+    each shift of it once, each state once per distinct rows, and each centre
+    listing once per group, centre row and partner side.  The walks take the
+    canonical rows as they are, without gen_lr's checks.
     """
     check_size("n", n, 1)
     check_size("m", m, 3)
@@ -322,7 +323,7 @@ def _horn_levels(n: int, m: int) -> list[list[tuple[tuple, list]]]:
                                             if tails_l is not tails_r:
                                                 for i in rights_at:
                                                     partners[i, j].extend(tails_l)
-        level = []
+        level = [((full,) * (d + 2), [(full,) * (d + 1)])]  # the trace row first
         for i, j in sorted(partners):
             tails, left = partners.pop((i, j)), bodies[d][i] + (subsets[j],)
             if left.count(full) == d + 2 or not any(left):  # all full or all empty
@@ -347,10 +348,10 @@ def system_rows(n: int, m: int):
     row i (inner positions keep their own parity) is the +1 (i even) or -1
     (i odd) indicator row of the inner tuple's i-th subset, and every other row
     is zero.  The trace row at level k is the window of the all-full tuple
-    (full,) * (m - 2k), the one tuple horn_index_set leaves out.  Monotone row
-    (i, j) is the step -1, +1 at columns j, j + 1 of row i; nonneg row i is the
-    -1 indicator row of {n} at row i.  The rows come in this order: for each
-    level of one _horn_levels(n, m) call, the trace row, then the _cone_row of
+    (full,) * (m - 2k), the level's first, which horn_index_set leaves out.
+    Monotone row (i, j) is the step -1, +1 at columns j, j + 1 of row i; nonneg
+    row i is the -1 indicator row of {n} at row i.  The rows come in this
+    order: for each level of one _horn_levels(n, m) call, the _cone_row of
     each of the level's tuples L + T in its order; then _domain_rows.
 
     The all-empty tuple, whose window is zero, is suppressed and counted, never
@@ -362,7 +363,6 @@ def system_rows(n: int, m: int):
     has one definition.  _horn_levels checks n and m before any row is built.
     """
     for level, pairs in enumerate(_horn_levels(n, m)):
-        yield _cone_row(n, level, (tuple(range(1, n + 1)),) * (m - 2 * level))
         yield from (_cone_row(n, level, left + tail) for left, tails in pairs for tail in tails)
     yield from _domain_rows(n, m)
 
@@ -372,7 +372,8 @@ def system_json(n: int, m: int):
     to_json_dict of each row of system_rows(n, m)]}) as chunks: the header, one per row, then "]}".
 
     No Inequality and no index set is built for a trace or horn row: one
-    _horn_levels call gives every level, and a row I = L + T is four texts:
+    _horn_levels call gives every level, whose first row, the trace, is one
+    chunk, and a row I = L + T is four texts:
     L's subsets, T's subsets, L's coefficient rows and T's, each made once per
     left and per distinct tail T.  Each subset and each of its indicator rows
     in _row_table(n) is encoded once per call by to_json, and a level's zero
@@ -384,16 +385,15 @@ def system_json(n: int, m: int):
     subset = {s: to_json(s) for s in indicator}
     plus = {s: to_json(rows[0]) for s, rows in indicator.items()}
     minus = {s: to_json(rows[1]) for s, rows in indicator.items()}
-    full = tuple(range(1, n + 1))
     yield f'{{"n":{n},"m":{m},"suppressed_trivial":{len(levels)},"inequalities":['
-    for level, pairs in enumerate(levels):
+    for level, ((left, (tail,)), *pairs) in enumerate(levels):
         signs = ([minus, plus] * m)[: m - 2 * level]  # inner row i takes the -1 row at odd i
         tail_signs = signs[(m + 1) // 2 - level :]  # a left half holds positions 0..c
         pad = (to_json(zero) + ",") * level
         end = ("," + to_json(zero)) * level + "]}"
         yield (
             f'{"," if level else ""}{{"origin":"trace","level":{level},"subsets":null,"position":null,'
-            f'"coeffs":[{pad}{",".join(sign[full] for sign in signs)}{end}'
+            f'"coeffs":[{pad}{",".join(map(getitem, signs, left + tail))}{end}'
         )
         texts = {}  # tail -> its subsets' text and its coefficient rows' text
         for left, tails in pairs:
@@ -454,17 +454,16 @@ def _level_halves(n: int, m: int) -> tuple[tuple, ...]:
     """Each level of one _horn_levels(n, m) call as bitmask columns over its distinct halves.
 
     Level k is (left columns, tail columns, tail lists, picks, lefts, tails): lefts are the
-    trace tuple's left half, then the lefts L in order; tails are the distinct tails T, the
+    level's lefts L in order, the trace's first; tails are the distinct tails T, the
     trace's first; column i holds each half's mask at position i; left i's tails are the
     positions in tails listed at lists[picks[i]].  Bit j - 1 is element j, and odd positions
     from 1 hold the complement: -S(I) = S(complement of I) - S(full), so a row L + T is
     positive iff its subset sums exceed the window's full sums at odd positions.
     """
     full, mask = (1 << n) - 1, {s: sum(1 << (j - 1) for j in s) for s in subsets_of_range(n)}
-    found, trace = [], (tuple(range(1, n + 1)),) * ((m + 1) // 2)
+    found = []
     for level, pairs in enumerate(_horn_levels(n, m)):
         c, at, lists = (m - 1) // 2 - level, {}, {}
-        pairs = [(trace[level:], [trace[level + 1 :]]), *pairs]
         picks = tuple(lists.setdefault(tuple(at.setdefault(t, len(at)) for t in ts), len(lists)) for _, ts in pairs)
         lefts, tails = tuple(left for left, _ in pairs), tuple(at)
         left_columns = tuple(tuple(mask[left[i]] ^ full * (i % 2 == 0) for left in lefts) for i in range(c + 1))
@@ -504,7 +503,8 @@ def member_cone(lams, n: int, m: int) -> MembershipVerdict:
     has value V(L) + V(T), so by _level_halves each left and distinct tail is
     summed once per level.  A level lists the trace row, then each left's tails
     in order: its first violated row, the certificate, is the first left over
-    the bound with its largest tail, and its first such tail.
+    the bound with its largest tail, and its first such tail.  The trace row,
+    left 0 with tail 0, is checked first from the full sums, a fast path.
     """
     rows = [row + (0,) * (n - len(row)) for row in read_rows(lams, n, m)[0]]
     halves = _level_halves(n, m)  # _horn_levels refuses an even m

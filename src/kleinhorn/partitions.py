@@ -129,13 +129,6 @@ def contains(outer, inner) -> bool:
     return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
-def pad_to(seq, length: int) -> tuple:
-    """Right-pad with zeros to exactly the given length."""
-    if len(seq) > length:
-        raise ValueError(f"sequence {seq!r} longer than target length {length}")
-    return tuple(seq) + (0,) * (length - len(seq))
-
-
 def check_subset(zs: tuple, n: int) -> None:
     """Raise ValueError unless zs is a strictly increasing tuple of integers in 1..n."""
     prev = 0
@@ -171,7 +164,9 @@ def adjusted_conjugate(sets, i: int, n: int) -> IntSeq:
     if not 1 <= i <= m:
         raise IndexError(f"position {i} outside 1..{m}")
     s = tuple(sets[i - 1])
-    base = pad_to(conjugate(partition_of_subset(s, n)), n - len(s))
+    # the partition fits in a |s| x (n - |s|) box, so its conjugate has at most n - |s| parts
+    base = conjugate(partition_of_subset(s, n))
+    base += (0,) * (n - len(s) - len(base))
     if i == 1 or i == m or i % 2 == 0:
         return base
     shift = len(s) - len(sets[i]) - len(sets[i - 2])

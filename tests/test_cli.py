@@ -420,6 +420,37 @@ def test_decide_huge_part_within_memory_limit():
     assert '"witness":[[],[1],[99999999999999999998],[1]]' in proc.stdout
 
 
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default limit on int/str conversion (4,300 digits), the previous limit restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10.0-3.10.6 have no limit
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_decide_scale_past_the_digit_limit(capsys, default_digit_limit, fmt):
+    # two 3,001-digit denominators make a 6,001-digit scale, once refused with exit 2
+    p, q = 10**3000 + 7, 10**3000 + 13
+    code, out, err = run(capsys, "decide", "-n", "1", "-m", "3", *fmt, f"1/{p};1/{q};1")
+    assert code == 0 and err == ""
+    if fmt:
+        payload = json.loads(out)
+        assert payload["member"] is True and payload["scale"] == p * q
+        assert payload["witness"] == [[6], [p], [], [p * q]]
+    else:
+        assert out == f"member\nwitness: [6];[{p}];[];[{p * q}] (after scaling by {p * q})\n"
+
+
+def test_lr_parts_past_the_digit_limit(capsys, default_digit_limit):
+    nines = "9" * 5000
+    assert run(capsys, "lr", nines, "", nines) == (0, "1\n", "")
+
+
 def test_ineqs_large_system_within_memory_limit():
     # 51,074 inequalities from shared coefficient rows, written as tuples
     def limit_memory():

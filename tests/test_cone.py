@@ -117,18 +117,20 @@ def test_horn_index_set_starts_with_all_empty_tuple(n, m):
 
 @pytest.mark.parametrize("n,m", [(1, 9), (2, 9), (3, 7), (4, 5), (5, 3), (5, 5)])
 def test_horn_levels_match_dfs_at_every_level(n, m):
-    # one search files the halves of every level; level k is the (n, m - 2k)
-    # index set without its first tuple, the all-empty one
+    # one search files the halves of every level; level k is the all-full trace
+    # tuple, then the (n, m - 2k) index set without its first tuple, the all-empty one
     levels = cone._horn_levels(n, m)
     assert len(levels) == (m - 1) // 2
     for k, level in enumerate(levels):
-        assert tuple(left + tail for left, tails in level for tail in tails) == horn_index_set_by_dfs(n, m - 2 * k)[1:]
-        assert all(any(left + tail) for left, tails in level for tail in tails)  # no all-empty tuple
+        trace = (tuple(range(1, n + 1)),) * (m - 2 * k)
+        rows = tuple(left + tail for left, tails in level for tail in tails)
+        assert rows == (trace, *horn_index_set_by_dfs(n, m - 2 * k)[1:])
+        assert all(map(any, rows))  # no all-empty tuple
 
 
 @pytest.mark.parametrize("n,m", [(2, 5), (1, 5)])
 def test_readers_leave_horn_levels_as_built(monkeypatch, n, m):
-    # every reader only reads the levels; at (1, 5) the window-3 level is empty
+    # every reader only reads the levels; at (1, 5) the window-3 level holds only its trace row
     built = []
     build = cone._horn_levels
 
@@ -148,6 +150,36 @@ def test_readers_leave_horn_levels_as_built(monkeypatch, n, m):
     assert len(built) == 4
     for levels, as_built in built:
         assert levels == as_built
+
+
+@pytest.mark.parametrize("n,m", [(1, 5), (2, 7)])
+def test_readers_map_horn_levels(monkeypatch, n, m):
+    # every reader maps the rows of the levels it is given, adding none: with
+    # each left cut to its first tail, the readers follow the cut levels
+    build = cone._horn_levels
+
+    def cut(n, m):
+        return [[(left, tails[:1]) for left, tails in level] for level in build(n, m)]
+
+    levels = cut(n, m)
+    rows = [(k, left + tails[0]) for k, level in enumerate(levels) for left, tails in level]
+    expected = [cone._cone_row(n, k, sets) for k, sets in rows]
+    monkeypatch.setattr(cone, "_horn_levels", cut)
+    cone._level_halves.cache_clear()
+    cone._certificate.cache_clear()
+    try:
+        got = list(system_rows(n, m))
+        assert got[: len(expected)] == expected
+        assert got[len(expected) :] == list(cone._domain_rows(n, m))
+        encoded = json.loads("".join(system_json(n, m)))["inequalities"]
+        assert encoded[: len(expected)] == json.loads(to_json([iq.to_json_dict() for iq in expected]))
+        lefts = [tuple(left for left, _ in level) for level in levels]
+        assert [halves[4] for halves in cone._level_halves(n, m)] == lefts
+        first = [left + tails[0] for left, tails in levels[0]]
+        assert horn_index_set(n, m) == (((),) * m, *first[1:])
+    finally:
+        cone._level_halves.cache_clear()
+        cone._certificate.cache_clear()
 
 
 # one chain walk per distinct rows of a body, at every level (its state), and
